@@ -13,6 +13,7 @@ are asserted on such "safe blocks" throughout the test suite.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -157,6 +158,29 @@ def osc_hamiltonian(space: FockSpace, omega: float) -> Operator:
     return Operator(space, np.diag(omega * (np.arange(space.dim) + 0.5)))
 
 
+@functools.lru_cache(maxsize=16)
+def _closed_form_tables(n_levels: int) -> tuple[np.ndarray, ...]:
+    """Index tables of the N x N closed form, read-only and shared.
+
+    An entry's magnitude depends only on the pair (lo, k) = (min(m, n),
+    |m - n|), so it is computed once per upper-triangle pair and gathered
+    through ``pair``; its phase depends only on the charge m - n, stored
+    as the column ``charge`` of a table over c = -(N-1) .. N-1.
+    """
+    lo, hi = np.triu_indices(n_levels)
+    pair = np.zeros((n_levels, n_levels), dtype=np.intp)
+    pair[lo, hi] = np.arange(lo.size)
+    pair = np.maximum(pair, pair.T)
+    idx = np.arange(n_levels)
+    charge = np.subtract.outer(idx, idx) + n_levels - 1
+    # log sqrt(min!/max!), through log-gamma
+    log_ratio = 0.5 * (gammaln(lo + 1) - gammaln(hi + 1))
+    tables = (lo, hi - lo, log_ratio, pair, charge)
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
 def displacement_stack(space: FockSpace, alphas: np.ndarray) -> np.ndarray:
     """Matrices of D(alpha) for a whole array of labels, shape (K, N, N).
 
@@ -167,29 +191,34 @@ def displacement_stack(space: FockSpace, alphas: np.ndarray) -> np.ndarray:
     with the m < n entries filled from D(a)† = D(-a).  Each entry is the
     exact (untruncated) matrix element, so there is no exponential
     truncation artifact per entry.
+
+    The magnitude sqrt(n!/m!) |a|^|m-n| e^(-|a|^2/2) is formed in log
+    space inside one exponential, so it stays finite where |a|^|m-n| alone
+    would overflow (large N); the phase (a/|a|)^(m-n), with the sign
+    (-1)^|m-n| of the m < n entries, comes from a table per charge m - n.
+    a = 0 gives the identity exactly.
     """
     alphas = np.atleast_1d(np.asarray(alphas, dtype=complex))
     n_levels = space.dim
-    idx = np.arange(n_levels)
-    row = idx[:, None]  # m
-    col = idx[None, :]  # n
-    lo = np.minimum(row, col)
-    d = row - col
+    lo, k, log_ratio, pair, charge = _closed_form_tables(n_levels)
 
-    # sqrt(min!/max!) <= 1, stable through log-gamma
-    ratio = np.exp(0.5 * (gammaln(lo + 1) - gammaln(np.maximum(row, col) + 1)))
+    r = np.abs(alphas)
+    nonzero = r > 0
+    # a unit phase of 0 at a = 0 zeroes every charge but c = 0 (0**0 = 1);
+    # the angle, unlike a / |a|, stays finite for subnormal labels
+    unit = np.where(nonzero, np.exp(1j * np.angle(alphas)), 0.0)
+    charges = np.arange(1 - n_levels, n_levels)
+    phase = np.where(charges >= 0, unit[:, None], -unit.conj()[:, None]) ** np.abs(charges)
 
-    t = np.abs(alphas) ** 2
-    lag = eval_genlaguerre(lo[None, :, :], np.abs(d)[None, :, :], t[:, None, None])
+    t = r**2
+    mag = log_ratio + k * np.log(np.where(nonzero, r, 1.0))[:, None]
+    mag -= (t / 2.0)[:, None]
+    np.exp(mag, out=mag)
+    mag *= eval_genlaguerre(lo, k, t[:, None])
 
-    a = alphas[:, None, None]
-    power = np.where(
-        d[None, :, :] >= 0,
-        a ** np.maximum(d, 0)[None, :, :],
-        (-a.conj()) ** np.maximum(-d, 0)[None, :, :],
-    )
-    gauss = np.exp(-t / 2.0)[:, None, None]
-    return ratio[None, :, :] * power * gauss * lag
+    stack = phase[:, charge]
+    stack *= mag[:, pair]
+    return stack
 
 
 def displacement(space: FockSpace, alpha: complex) -> Operator:

@@ -6,12 +6,28 @@ e^(-t) * poly(t) * e^(i k phi) are integrated exactly once the radial
 rule has enough nodes for the polynomial degree and the angular count
 exceeds |k|.  All quadrature "error" in this package is therefore
 truncation error of the operators, not of the rule.
+
+Every node lies on a circle, z = sqrt(t_r) e^(i phi_a), and the closed form
+of the displacement (Cahill & Glauber, Phys. Rev. 177, 1857 (1969)) gives
+
+    D(r e^(i phi))_mn = e^(i (m - n) phi) D(r)_mn,   D(r) real,
+
+so a stack over the K = R * A nodes is R real radial matrices times a
+phase per charge c = m - n.  The sum of e^(i (c - c') phi_a) over the A
+uniform angles is A when c = c' (mod A) and 0 otherwise, exactly, for any
+A >= 3: frame and Gram sums over the nodes keep only entries whose charges
+agree mod A, each weighted by its ring.  Schemes with fewer than 2N - 1
+angles alias charges that differ by A; the same rule covers them.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy.special import roots_laguerre
+
+from .fock import FockSpace, displacement_stack
 
 __all__ = ["QuadratureScheme"]
 
@@ -53,6 +69,30 @@ class QuadratureScheme:
     def adequate_for(self, n_levels: int) -> bool:
         """True if the rule meets the minimum sizes for dimension N."""
         return len(self.radial_nodes) >= 2 * n_levels and self.angular_count >= 2 * n_levels + 1
+
+    def _radial_stack(self, space: FockSpace, mirrored: bool = False) -> np.ndarray:
+        """The R real radial matrices D(sqrt(t_r)), shape (R, N, N); the
+        node z = sqrt(t_r) e^(i phi) has D(z)_mn = e^(i(m-n) phi) D(sqrt(t_r))_mn.
+        ``mirrored`` gives D(-sqrt(t_r)) = (-1)^(m-n) D(sqrt(t_r)), the rings
+        of the reflected nodes -z."""
+        radii = np.sqrt(self.radial_nodes)
+        return displacement_stack(space, -radii if mirrored else radii).real
+
+    def _ring_gram(self, mats: np.ndarray) -> np.ndarray:
+        """(1/2pi) sum_k w_k vec(M_k) vec(M_k)^† over the nodes, where
+        M_k = e^(i(m-n) phi_k) mats[r] on the ring r of node k and (m, n)
+        indexes the last two axes of ``mats`` (shape (R, M, M')).
+
+        Only pairs of entries whose charges m - n agree mod A survive the
+        angular sum.  Real, shape (M*M', M*M').
+        """
+        count = self.angular_count
+        rings, rows, cols = mats.shape
+        charge = np.subtract.outer(np.arange(rows), np.arange(cols)).ravel() % count
+        vecs = mats.reshape(rings, rows * cols)
+        ring_weights = self.weights[::count] * (count / (2.0 * math.pi))
+        gram = (vecs.T * ring_weights) @ vecs
+        return np.where(charge[:, None] == charge[None, :], gram, 0.0)
 
     def xy_nodes(self) -> tuple[np.ndarray, np.ndarray]:
         """Cartesian nodes under the z = (y - ix)/sqrt(2) convention."""

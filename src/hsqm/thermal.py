@@ -15,6 +15,11 @@ density itself.  Both residuals are exposed: the deviation from the
 identity (large, by the above) and the deviation from the Gibbs-weighted
 frame operator (truncation-level small).
 
+Assembly is block-sparse by charge: on the polar quadrature nodes the
+family is R radial states times a phase e^(i(m-n) phi), and the angular
+sum keeps only entries whose charges m - n agree mod A.  It costs one
+(N^2 x R) @ (R x N^2) real product, not a sum over all K = R * A nodes.
+
 The Tomita map of the thermal state reflects the family through the
 origin: S(|z>) = |-z>, exactly, since D(z)† = D(-z).
 """
@@ -26,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import FockSpace, Operator, ThermalSpec, displacement, displacement_stack, gibbs_density
+from .fock import FockSpace, Operator, ThermalSpec, displacement, gibbs_density
 from .hs_space import SuperOp, hs_norm
 from .modular import ModularData, tomita_s
 from .quadrature import QuadratureScheme
@@ -80,24 +85,20 @@ def thermal_cs(space: FockSpace, spec: ThermalSpec, z: complex) -> ThermalCS:
     return ThermalCS(spec, complex(z), state)
 
 
-def _state_vectors(space: FockSpace, spec: ThermalSpec, scheme: QuadratureScheme, mirrored: bool) -> np.ndarray:
-    """vec(D(±z_k) Phi_beta) for every quadrature node, shape (K, N^2)."""
-    zs = -scheme.z_nodes if mirrored else scheme.z_nodes
-    stack = displacement_stack(space, zs)
-    sqrt_lam = np.sqrt(np.diag(gibbs_density(space, spec).mat).real)
-    states = stack * sqrt_lam[None, None, :]  # D(z) @ diag(sqrt(lambda))
-    return states.reshape(len(zs), space.dim**2)
-
-
 def resolution_operator(
     space: FockSpace, spec: ThermalSpec, scheme: QuadratureScheme, mirrored: bool = False
 ) -> SuperOp:
     """Quadrature assembly of (1/2pi) * integral |z><z| dx dy as a dense
-    superoperator on B2(H_N); ``mirrored`` uses the reflected family |-z>."""
-    vecs = _state_vectors(space, spec, scheme, mirrored)
-    w = scheme.weights / (2.0 * math.pi)
-    dense = (vecs.T * w) @ vecs.conj()
-    return SuperOp.from_dense(space, dense)
+    superoperator on B2(H_N); ``mirrored`` uses the reflected family |-z>.
+
+    Assembled from the R radial states D(sqrt(t_r)) Phi_beta, not the
+    K = R * A node states: the angular sum keeps only entries whose
+    charges m - n agree mod A, so the matrix is block-sparse by charge
+    (see :mod:`hsqm.quadrature`).
+    """
+    sqrt_lam = np.sqrt(np.diag(gibbs_density(space, spec).mat).real)
+    states = scheme._radial_stack(space, mirrored) * sqrt_lam  # D(±sqrt(t_r)) @ diag(sqrt(lambda))
+    return SuperOp.from_dense(space, scheme._ring_gram(states))
 
 
 def _block_indices(space: FockSpace, max_level: int) -> np.ndarray:

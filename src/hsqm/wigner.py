@@ -103,22 +103,27 @@ def wigner_inverse(f: PhaseFunction, scheme: QuadratureScheme, space: FockSpace)
     Exact (to rounding) whenever f is the W-image of an operator whose
     support fits the scheme; for anything else the round-trip residual
     is the diagnostic, nothing fails silently.
+
+    The node values are transformed ring by ring to one coefficient per
+    charge c = m - n, which multiplies the radial matrices D(sqrt(t_r))
+    (see :mod:`hsqm.quadrature`).
     """
-    vals = _grid_values(f, scheme)
-    zs = scheme.z_nodes
-    stack = displacement_stack(space, zs)
-    mat = np.einsum("k,kmn->mn", scheme.weights * vals, stack) / math.sqrt(2.0 * math.pi)
-    return Operator(space, mat)
+    count = scheme.angular_count
+    vals = _grid_values(f, scheme).reshape(-1, count)
+    n = space.dim
+    phi = 2.0 * np.pi * np.arange(count) / count
+    per_charge = (vals @ np.exp(1j * np.outer(phi, np.arange(1 - n, n)))) * scheme.weights[::count, None]
+    charge = np.subtract.outer(np.arange(n), np.arange(n)) + n - 1
+    mat = np.einsum("rmn,rmn->mn", per_charge[:, charge], scheme._radial_stack(space))
+    return Operator(space, mat / math.sqrt(2.0 * math.pi))
 
 
 def unitarity_residual(x: Operator, y: Operator, scheme: QuadratureScheme) -> float:
     """| integral conj(W X) (W Y) dx dy  -  <X|Y> |."""
     if x.space != y.space:
         raise ValueError("operators live on different Fock spaces")
-    stack = displacement_stack(x.space, scheme.z_nodes)
-    vx = np.einsum("kmn,mn->k", stack.conj(), x.mat) / math.sqrt(2.0 * math.pi)
-    vy = np.einsum("kmn,mn->k", stack.conj(), y.mat) / math.sqrt(2.0 * math.pi)
-    quad = np.sum(scheme.weights * vx.conj() * vy)
+    gram = scheme._ring_gram(scheme._radial_stack(x.space))
+    quad = x.mat.ravel().conj() @ gram @ y.mat.ravel()
     return float(abs(quad - hs_inner(x, y)))
 
 

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from hsqm.fock import (
@@ -11,6 +13,7 @@ from hsqm.fock import (
     annihilation,
     creation,
     displacement,
+    displacement_stack,
     gibbs_density,
     momentum,
     osc_hamiltonian,
@@ -140,3 +143,30 @@ def test_thermal_spec_validation():
         ThermalSpec(0.0, 1.0)
     with pytest.raises(ValueError):
         ThermalSpec(1.0, -2.0)
+
+
+def test_displacement_stack_finite_at_large_n():
+    # |alpha|^|m-n| alone overflows here; the log-space closed form must
+    # stay finite and unitary on the safe block
+    sp = FockSpace(600)
+    alpha = math.sqrt(sp.dim) / 4 * np.exp(0.7j)
+    d = displacement_stack(sp, np.array([alpha]))[0]
+    assert np.all(np.isfinite(d))
+    block = d[:, : sp.dim // 4 + 1]
+    assert np.max(np.abs(block.conj().T @ block - np.eye(block.shape[1]))) <= 1e-12
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    st.floats(0.0, 1.0), st.floats(0.0, 2 * math.pi), st.floats(0.0, 1.0), st.floats(0.0, 2 * math.pi)
+)
+def test_weyl_relation_on_safe_block(r1, phi1, r2, phi2):
+    # D(a) D(b) = e^(i Im(a conj(b))) D(a + b); |a|, |b| <= sqrt(N)/8 keeps
+    # a + b inside the safe disc, checked on levels <= N/4
+    sp = FockSpace(24)
+    rad = math.sqrt(sp.dim) / 8
+    a, b = rad * r1 * np.exp(1j * phi1), rad * r2 * np.exp(1j * phi2)
+    da, db, dab = displacement_stack(sp, np.array([a, b, a + b]))
+    keep = sp.dim // 4 + 1
+    phase = np.exp(1j * (a * np.conj(b)).imag)
+    assert np.max(np.abs((da @ db - phase * dab)[:keep, :keep])) <= 1e-12

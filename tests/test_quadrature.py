@@ -3,7 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from hsqm.fock import FockSpace, Operator, ThermalSpec, displacement_stack, gibbs_density
+from hsqm.hs_space import hs_inner
 from hsqm.quadrature import QuadratureScheme
+from hsqm.thermal import resolution_operator
+from hsqm.wigner import unitarity_residual, wigner_function, wigner_inverse
 
 
 def test_validation():
@@ -50,3 +54,74 @@ def test_xy_convention():
     x, y = q.xy_nodes()
     z = (y - 1j * x) / math.sqrt(2)
     assert np.allclose(z, q.z_nodes)
+
+
+# -- polar path against brute force ------------------------------------------
+#
+# resolution_operator, wigner_inverse and unitarity_residual build their
+# node sums from R radial matrices and the mod-A charge rule; the
+# references below sum over all K = R*A node matrices directly.  Aliased
+# schemes (A < 2N - 1) with odd and even A exercise charges that differ
+# by A, and the mirror sign (-1)^(c - c') at c - c' = +-A.
+
+
+def _polar_cases():
+    for n in (4, 6, 8):
+        yield n, 2 * n, 4 * n + 1
+        for count in (3, 4, 5, 8):
+            if count < 2 * n - 1:
+                yield n, 2 * n, count
+
+
+POLAR_CASES = list(_polar_cases())
+
+
+def _random_operator(sp, seed):
+    rng = np.random.default_rng(seed)
+    n = sp.dim
+    return Operator(sp, rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+
+
+@pytest.mark.parametrize("n, radial, angular", POLAR_CASES)
+@pytest.mark.parametrize("mirrored", [False, True])
+def test_resolution_operator_matches_node_sum(n, radial, angular, mirrored):
+    sp = FockSpace(n)
+    spec = ThermalSpec(1.0, 0.7)
+    scheme = QuadratureScheme(radial, angular)
+    sqrt_lam = np.sqrt(np.diag(gibbs_density(sp, spec).mat).real)
+    stack = displacement_stack(sp, -scheme.z_nodes if mirrored else scheme.z_nodes)
+    vecs = (stack * sqrt_lam).reshape(len(scheme.z_nodes), n * n)
+    reference = (vecs.T * (scheme.weights / (2 * math.pi))) @ vecs.conj()
+    got = resolution_operator(sp, spec, scheme, mirrored).to_dense()
+    assert np.max(np.abs(got - reference)) <= 1e-13
+
+
+@pytest.mark.parametrize("n, radial, angular", POLAR_CASES)
+def test_wigner_inverse_matches_node_sum(n, radial, angular):
+    sp = FockSpace(n)
+    scheme = QuadratureScheme(radial, angular)
+    stack = displacement_stack(sp, scheme.z_nodes)
+
+    def f(xs, ys):  # every angular frequency, not a W-image
+        return np.exp(-(xs**2 + ys**2) / 3.0) * (xs + 1j * ys**2 + 0.5)
+
+    xs, ys = scheme.xy_nodes()
+    reference = np.einsum("k,kmn->mn", scheme.weights * f(xs, ys), stack) / math.sqrt(2 * math.pi)
+    assert np.max(np.abs(wigner_inverse(f, scheme, sp).mat - reference)) <= 1e-13
+
+    x = _random_operator(sp, n)
+    vals = np.einsum("kmn,mn->k", stack.conj(), x.mat) / math.sqrt(2 * math.pi)
+    reference = np.einsum("k,kmn->mn", scheme.weights * vals, stack) / math.sqrt(2 * math.pi)
+    assert np.max(np.abs(wigner_inverse(wigner_function(x), scheme, sp).mat - reference)) <= 1e-13
+
+
+@pytest.mark.parametrize("n, radial, angular", POLAR_CASES)
+def test_unitarity_residual_matches_node_sum(n, radial, angular):
+    sp = FockSpace(n)
+    scheme = QuadratureScheme(radial, angular)
+    stack = displacement_stack(sp, scheme.z_nodes)
+    x, y = _random_operator(sp, 2 * n), _random_operator(sp, 2 * n + 1)
+    vx = np.einsum("kmn,mn->k", stack.conj(), x.mat) / math.sqrt(2 * math.pi)
+    vy = np.einsum("kmn,mn->k", stack.conj(), y.mat) / math.sqrt(2 * math.pi)
+    reference = abs(np.sum(scheme.weights * vx.conj() * vy) - hs_inner(x, y))
+    assert abs(unitarity_residual(x, y, scheme) - reference) <= 1e-13
