@@ -8,14 +8,12 @@ import numpy as np
 
 from hsqm import (
     FockSpace,
-    PhasePoint,
     QuadratureScheme,
     basis_element,
     hs_norm,
     unitarity_residual,
     wigner_function,
     wigner_inverse,
-    wigner_transform,
 )
 
 N = 20
@@ -27,7 +25,7 @@ print("=" * 60)
 x00 = basis_element(space, 0, 0)
 print("\nTransform of the vacuum projector along y = 0:")
 for xv in (0.0, 1.0, 2.0, 3.0):
-    val = wigner_transform(x00, PhasePoint(xv, 0.0)).real
+    val = wigner_function(x00)(xv, 0.0).real
     gauss = math.exp(-xv**2 / 4) / math.sqrt(2 * math.pi)
     print(f"  x={xv:.0f}: {val:.6f}   [Gaussian {gauss:.6f}]")
 

@@ -12,99 +12,13 @@ Subpackages by theme:
 * :mod:`hsqm.quadrature` -- the radial Gauss-Laguerre x angular product rule.
 """
 
-from .commutant import (
-    AlgebraBasis,
-    AlgebraGens,
-    algebra_span,
-    check_cyclic,
-    check_separating,
-    commutant_basis,
-    intersection_dimension,
-    is_factor,
-)
-from .fock import (
-    FockSpace,
-    Operator,
-    ThermalSpec,
-    annihilation,
-    creation,
-    displacement,
-    displacement_stack,
-    gibbs_density,
-    identity,
-    momentum,
-    number,
-    osc_hamiltonian,
-    position,
-)
-from .hs_space import (
-    HSOperator,
-    SuperOp,
-    basis_element,
-    hs_inner,
-    hs_norm,
-    left_action,
-    right_action,
-    unvectorize,
-    vectorize,
-    vee,
-)
-from .landau import (
-    ChiralFrequencies,
-    LandauParams,
-    TensorState,
-    apply_chiral_ladder,
-    apply_hamiltonian,
-    chiral_frequencies,
-    hamiltonian_op,
-    husimi,
-    husimi_trace_residual,
-    lll_overlap,
-    lll_projector,
-    lll_state,
-    partition,
-    project_hol,
-    reproducing_kernel,
-    spectrum,
-    tensor_basis_state,
-    tensor_cs,
-    tensor_resolution_residual,
-    uncertainty_report,
-)
-from .modular import (
-    AntilinearMap,
-    ModularData,
-    delta_power,
-    kms_residual,
-    modular_conjugation,
-    modular_flow,
-    modular_operator,
-    polar_check,
-    state_eval,
-    tomita_f,
-    tomita_s,
-)
-from .quadrature import QuadratureScheme
-from .thermal import (
-    ThermalCS,
-    cs_overlap,
-    frame_operator_residual,
-    resolution_operator,
-    resolution_residual,
-    s_beta_reflection,
-    safe_radius,
-    thermal_cs,
-    thermal_vector,
-)
-from .wigner import (
-    PhaseFunction,
-    PhasePoint,
-    lifted_unitaries,
-    unitarity_residual,
-    weyl_operator,
-    wigner_function,
-    wigner_inverse,
-    wigner_transform,
-)
+from .commutant import *  # noqa: F403
+from .fock import *  # noqa: F403
+from .hs_space import *  # noqa: F403
+from .landau import *  # noqa: F403
+from .modular import *  # noqa: F403
+from .quadrature import *  # noqa: F403
+from .thermal import *  # noqa: F403
+from .wigner import *  # noqa: F403
 
 __version__ = "0.1.0"

@@ -5,8 +5,6 @@ residual contracts it checked as extra rows; the exit status is 0 only
 if every checked contract holds (1 otherwise, 2 for an invalid
 configuration).  Output is deterministic byte-for-byte for a fixed
 configuration: fixed seeds, fixed summation orders, no timestamps.
-
-HSQM_THREADS caps the worker threads used for grid evaluation.
 """
 
 from __future__ import annotations
@@ -14,9 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -49,14 +45,6 @@ def _scheme(args, n_levels: int) -> QuadratureScheme:
     return QuadratureScheme(radial, angular)
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("HSQM_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise ValueError(f"HSQM_THREADS must be an integer, got {raw!r}")
-
-
 def _check(contracts, name, value, threshold):
     contracts.append(
         {"kind": "contract", "name": name, "value": float(value), "threshold": threshold, "ok": bool(value <= threshold)}
@@ -85,25 +73,16 @@ def _cmd_spectrum(args):
 
 def _cmd_husimi(args):
     params = _landau_params(args)
-    grid = np.linspace(-4.0, 4.0, 41)
-    threads = _thread_count()
-
-    def eval_row(i):
-        x = grid[i]
-        return [float(landau.husimi(params, args.beta, complex(x, y), 0.0)) for y in grid]
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        values = list(pool.map(eval_row, range(len(grid))))
-
+    grid = np.linspace(-4.0, 4.0, 41).tolist()
     rows = [
-        {"kind": "row", "x": float(grid[i]), "y": float(grid[j]), "q": values[i][j]}
-        for i in range(len(grid))
-        for j in range(len(grid))
+        {"kind": "row", "x": x, "y": y, "q": float(landau.husimi(params, args.beta, complex(x, y), 0.0))}
+        for x in grid
+        for y in grid
     ]
     contracts = []
     scheme = _scheme(args, args.N)
     _check(contracts, "husimi_trace_residual", landau.husimi_trace_residual(params, args.beta, scheme), 1e-10)
-    _check(contracts, "husimi_negativity", max(0.0, -min(min(v) for v in values)), 0.0)
+    _check(contracts, "husimi_negativity", max(0.0, -min(r["q"] for r in rows)), 0.0)
     return rows, contracts
 
 

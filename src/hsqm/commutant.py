@@ -110,8 +110,8 @@ def commutant_basis(alg: AlgebraBasis) -> AlgebraBasis:
     # (e.g. the scalar algebra) from faking rank
     cutoff = _RANK_TOL * max(float(s[0]) if s.size else 0.0, 1.0)
     rank = int(np.sum(s > cutoff))
-    null_rows = vh[rank:]
-    return AlgebraBasis(d, [row.reshape(d, d) for row in null_rows])
+    # M = U S Vh, so the null vectors of M are the conjugated rows of Vh
+    return AlgebraBasis(d, [row.conj().reshape(d, d) for row in vh[rank:]])
 
 
 def intersection_dimension(a: AlgebraBasis, b: AlgebraBasis) -> int:

@@ -2,8 +2,7 @@
 
 An N x N operator X doubles as a vector of B2(H_N) with inner product
 <X|Y> = Tr[X† Y]; in finite dimension every operator is Hilbert-Schmidt,
-so :class:`~hsqm.fock.Operator` plays both roles and ``HSOperator`` is
-an alias for it.
+so :class:`~hsqm.fock.Operator` plays both roles.
 
 Vectorization is row-major throughout the package: the rank-one basis
 element |n><l| maps to the unit coordinate at index n*N + l.
@@ -14,14 +13,11 @@ bridges the left and right multiplication algebras.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .fock import FockSpace, Operator
 
 __all__ = [
-    "HSOperator",
     "SuperOp",
     "hs_inner",
     "hs_norm",
@@ -31,11 +27,8 @@ __all__ = [
     "right_action",
     "vectorize",
     "unvectorize",
+    "block_indices",
 ]
-
-# In finite dimension every operator has finite Hilbert-Schmidt norm;
-# the alias records the role, not a new structure.
-HSOperator = Operator
 
 
 def hs_inner(x: Operator, y: Operator) -> complex:
@@ -66,6 +59,12 @@ def vectorize(x: Operator) -> np.ndarray:
 
 def unvectorize(space: FockSpace, v: np.ndarray) -> Operator:
     return Operator(space, np.asarray(v, dtype=complex).reshape(space.dim, space.dim))
+
+
+def block_indices(space: FockSpace, max_level: int) -> np.ndarray:
+    """Row-major indices n*N + l of the |n><l| with n, l <= max_level."""
+    keep = np.arange(max_level + 1)
+    return (keep[:, None] * space.dim + keep[None, :]).ravel()
 
 
 class SuperOp:

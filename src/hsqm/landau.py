@@ -26,8 +26,9 @@ import numpy as np
 from scipy.special import gammaln
 
 from .fock import FockSpace, Operator, annihilation, identity, osc_hamiltonian
-from .hs_space import SuperOp, basis_element, hs_inner, vee
+from .hs_space import SuperOp, basis_element, block_indices, vee
 from .quadrature import QuadratureScheme
+from .thermal import safe_radius
 
 __all__ = [
     "LandauParams",
@@ -224,7 +225,7 @@ def tensor_cs(space: FockSpace, z_plus: complex, z_minus: complex) -> TensorStat
     z^n conj(z)^m / sqrt(n! m!) with the double Gaussian prefactor
     e^(-(|z+|^2 + |z-|^2)); unit norm in exact arithmetic.
     """
-    bound = math.sqrt(space.dim) / 4.0
+    bound = safe_radius(space)
     if abs(z_plus) > bound or abs(z_minus) > bound:
         raise ValueError(f"coherent labels must stay inside the safe disc |z| <= {bound:.3f}")
     n = np.arange(space.dim)
@@ -454,10 +455,9 @@ def tensor_resolution_residual(space: FockSpace, scheme: QuadratureScheme, max_l
     if max_level is None:
         max_level = space.dim // 4
     n = space.dim
-    keep = np.arange(max_level + 1)
     sector = sector_resolution_operator(space, scheme)
     eye = np.eye(n * n)
-    cols = (keep[:, None] * n + keep[None, :]).ravel()
+    cols = block_indices(space, max_level)
     diff = (sector - eye)[:, cols]
     r = float(np.linalg.norm(diff, 2))
     if n**4 <= 4096:

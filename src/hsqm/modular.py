@@ -40,6 +40,21 @@ __all__ = [
 _FAITHFUL_FLOOR = 1e-14
 
 
+def _eig(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """Eigenvalues of a Hermitian matrix and its eigenvectors, or None in
+    place of the eigenvectors when the matrix is already diagonal."""
+    if np.all(mat - np.diag(np.diag(mat)) == 0):
+        return np.diag(mat).real.copy(), None
+    return np.linalg.eigh(mat)
+
+
+def _spectral(evecs: np.ndarray | None, w: np.ndarray) -> np.ndarray:
+    """V diag(w) V† for the eigenvectors of :func:`_eig`."""
+    if evecs is None:
+        return np.diag(w)
+    return (evecs * w) @ evecs.conj().T
+
+
 class AntilinearMap:
     """Conjugate-linear map on B2(H_N) of the sandwich form X -> L X† R.
 
@@ -71,13 +86,6 @@ class AntilinearMap:
             raise ValueError("composition implemented for single-pair superoperators")
         a, b = sup.pairs[0]
         return AntilinearMap(self.space, self.left @ b, a.conj().T @ self.right)
-
-    def before_linear(self, sup: SuperOp) -> "AntilinearMap":
-        """(A ∨ B) ∘ self: antilinear with factors (A L, R B†)."""
-        if sup.pairs is None or len(sup.pairs) != 1:
-            raise ValueError("composition implemented for single-pair superoperators")
-        a, b = sup.pairs[0]
-        return AntilinearMap(self.space, a @ self.left, self.right @ b.conj().T)
 
     def compose(self, other: "AntilinearMap") -> SuperOp:
         """self ∘ other is linear: X -> (L1 R2†) X (L2† R1)."""
@@ -114,12 +122,7 @@ class ModularData:
         if abs(np.trace(mat).real - 1.0) > 1e-10 or abs(np.trace(mat).imag) > 1e-12:
             raise ValueError("density must have unit trace")
 
-        off = mat - np.diag(np.diag(mat))
-        if np.all(off == 0):
-            evals = np.diag(mat).real.copy()
-            evecs = None
-        else:
-            evals, evecs = np.linalg.eigh(mat)
+        evals, evecs = _eig(mat)
         if np.min(evals) < _FAITHFUL_FLOOR * np.max(evals):
             raise ValueError(
                 "density is not faithful at working precision "
@@ -134,23 +137,12 @@ class ModularData:
 
         if hamiltonian is None:
             # Gibbs convention: H = -(1/beta) ln(rho), so e^{-beta H} = rho.
-            logw = -np.log(evals) / beta
-            if evecs is None:
-                ham = Operator(rho.space, np.diag(logw).astype(complex))
-            else:
-                ham = Operator(rho.space, (evecs * logw) @ evecs.conj().T)
-            hamiltonian = ham
+            hamiltonian = Operator(rho.space, _spectral(evecs, -np.log(evals) / beta))
         elif hamiltonian.space != rho.space:
             raise ValueError("Hamiltonian lives on a different Fock space")
         self.hamiltonian = hamiltonian
 
-        hmat = hamiltonian.mat
-        hoff = hmat - np.diag(np.diag(hmat))
-        if np.all(hoff == 0):
-            self._ham_evals = np.diag(hmat).real.copy()
-            self._ham_evecs = None
-        else:
-            self._ham_evals, self._ham_evecs = np.linalg.eigh(hmat)
+        self._ham_evals, self._ham_evecs = _eig(hamiltonian.mat)
 
     @classmethod
     def from_thermal(cls, space: FockSpace, spec: ThermalSpec) -> "ModularData":
@@ -161,17 +153,11 @@ class ModularData:
 
     def rho_power(self, z: complex) -> np.ndarray:
         """Principal power rho^z through the cached eigendecomposition."""
-        w = self._evals.astype(complex) ** z
-        if self._evecs is None:
-            return np.diag(w)
-        return (self._evecs * w) @ self._evecs.conj().T
+        return _spectral(self._evecs, self._evals.astype(complex) ** z)
 
     def ham_phase(self, z: complex) -> np.ndarray:
         """e^{i z H} for complex time z."""
-        w = np.exp(1j * z * self._ham_evals.astype(complex))
-        if self._ham_evecs is None:
-            return np.diag(w)
-        return (self._ham_evecs * w) @ self._ham_evecs.conj().T
+        return _spectral(self._ham_evecs, np.exp(1j * z * self._ham_evals.astype(complex)))
 
     @property
     def sqrt_rho(self) -> Operator:
@@ -249,11 +235,7 @@ def kms_residual(md: ModularData, a: Operator, b: Operator, t: float) -> float:
     if a.space != md.space or b.space != md.space:
         raise ValueError("operators live on a different Fock space")
     boltz = np.exp(-md.beta * md._ham_evals.astype(complex))
-    if md._ham_evecs is not None:
-        gibbs = (md._ham_evecs * (boltz / boltz.sum())) @ md._ham_evecs.conj().T
-    else:
-        gibbs = np.diag(boltz / boltz.sum())
-    if np.linalg.norm(md.rho.mat - gibbs) > 1e-10:
+    if np.linalg.norm(md.rho.mat - _spectral(md._ham_evecs, boltz / boltz.sum())) > 1e-10:
         raise ValueError("density is not the Gibbs state of the stored Hamiltonian")
 
     rho = md.rho.mat

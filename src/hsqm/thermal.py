@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock import FockSpace, Operator, ThermalSpec, displacement, gibbs_density
-from .hs_space import SuperOp, hs_norm
+from .hs_space import SuperOp, block_indices, hs_norm
 from .modular import ModularData, tomita_s
 from .quadrature import QuadratureScheme
 
@@ -101,16 +101,22 @@ def resolution_operator(
     return SuperOp.from_dense(space, scheme._ring_gram(states))
 
 
-def _block_indices(space: FockSpace, max_level: int) -> np.ndarray:
-    n = space.dim
-    keep = np.arange(max_level + 1)
-    return (keep[:, None] * n + keep[None, :]).ravel()
-
-
-def _restricted_deviation(dense: np.ndarray, reference: np.ndarray, space: FockSpace, max_level: int) -> float:
-    cols = _block_indices(space, max_level)
-    diff = (dense - reference)[:, cols]
-    return float(np.linalg.norm(diff, 2))
+def _right_weight_deviation(
+    space: FockSpace,
+    spec: ThermalSpec,
+    scheme: QuadratureScheme,
+    mirrored: bool,
+    max_level: int | None,
+    weights: np.ndarray,
+) -> float:
+    """Operator-norm distance between the assembled family and right
+    multiplication by diag(weights) (dense form kron(I, diag(weights))),
+    on inputs supported on levels <= max_level (default N/4)."""
+    if max_level is None:
+        max_level = space.dim // 4
+    dense = resolution_operator(space, spec, scheme, mirrored).to_dense()
+    reference = np.kron(np.eye(space.dim), np.diag(weights))
+    return float(np.linalg.norm((dense - reference)[:, block_indices(space, max_level)], 2))
 
 
 def resolution_residual(
@@ -129,11 +135,7 @@ def resolution_residual(
     diagnostic; see :func:`frame_operator_residual` for the residual
     against the true frame operator.
     """
-    if max_level is None:
-        max_level = space.dim // 4
-    dense = resolution_operator(space, spec, scheme, mirrored).to_dense()
-    eye = np.eye(space.dim**2)
-    return _restricted_deviation(dense, eye, space, max_level)
+    return _right_weight_deviation(space, spec, scheme, mirrored, max_level, np.ones(space.dim))
 
 
 def frame_operator_residual(
@@ -146,12 +148,8 @@ def frame_operator_residual(
     """Deviation of the assembled family from its closed-form frame
     operator, right multiplication by the Gibbs density (dense form
     kron(I, rho_beta)); truncation-level small on the restricted block."""
-    if max_level is None:
-        max_level = space.dim // 4
-    dense = resolution_operator(space, spec, scheme, mirrored).to_dense()
     lam = np.diag(gibbs_density(space, spec).mat).real
-    reference = np.kron(np.eye(space.dim), np.diag(lam))
-    return _restricted_deviation(dense, reference, space, max_level)
+    return _right_weight_deviation(space, spec, scheme, mirrored, max_level, lam)
 
 
 def s_beta_reflection(space: FockSpace, spec: ThermalSpec, z: complex) -> float:

@@ -22,15 +22,13 @@ from typing import Callable
 
 import numpy as np
 
-from .fock import FockSpace, Operator, displacement_stack, identity
+from .fock import FockSpace, Operator, displacement, displacement_stack, identity
 from .hs_space import SuperOp, hs_inner, vee
 from .quadrature import QuadratureScheme
 
 __all__ = [
     "PhasePoint",
     "PhaseFunction",
-    "weyl_operator",
-    "wigner_transform",
     "wigner_function",
     "wigner_inverse",
     "unitarity_residual",
@@ -62,17 +60,6 @@ def _z_of_xy(x, y):
     return (np.asarray(y) - 1j * np.asarray(x)) / math.sqrt(2.0)
 
 
-def weyl_operator(space: FockSpace, p: PhasePoint) -> Operator:
-    """U(x, y) = exp(-i(xQ + yP)) = D((y - ix)/sqrt(2))."""
-    return Operator(space, displacement_stack(space, np.array([p.z]))[0])
-
-
-def wigner_transform(x: Operator, p: PhasePoint) -> complex:
-    """(W X)(x, y), a single pointwise value."""
-    u = displacement_stack(x.space, np.array([p.z]))[0]
-    return complex(np.vdot(u, x.mat)) / math.sqrt(2.0 * math.pi)
-
-
 def wigner_function(x: Operator) -> PhaseFunction:
     """The whole map W X as a vectorized phase-space function."""
     mat = x.mat.copy()
@@ -81,7 +68,8 @@ def wigner_function(x: Operator) -> PhaseFunction:
     def f(xs, ys):
         zs = np.atleast_1d(_z_of_xy(xs, ys)).ravel()
         stack = displacement_stack(space, zs)
-        vals = np.einsum("kmn,mn->k", stack.conj(), mat) / math.sqrt(2.0 * math.pi)
+        np.conj(stack, out=stack)
+        vals = np.einsum("kmn,mn->k", stack, mat) / math.sqrt(2.0 * math.pi)
         return vals.reshape(np.shape(np.asarray(xs))) if np.ndim(xs) else vals[0]
 
     return f
@@ -89,11 +77,9 @@ def wigner_function(x: Operator) -> PhaseFunction:
 
 def _grid_values(f: PhaseFunction, scheme: QuadratureScheme) -> np.ndarray:
     xs, ys = scheme.xy_nodes()
-    vals = f(xs, ys)
-    vals = np.asarray(vals, dtype=complex)
+    vals = np.asarray(f(xs, ys), dtype=complex)
     if vals.shape != xs.shape:
-        # scalar-only evaluator; fall back to a loop
-        vals = np.array([f(float(a), float(b)) for a, b in zip(xs, ys)], dtype=complex)
+        raise ValueError(f"phase function must return shape {xs.shape} on coordinate arrays, got {vals.shape}")
     return vals
 
 
@@ -133,5 +119,5 @@ def lifted_unitaries(space: FockSpace, p: PhasePoint) -> tuple[SuperOp, SuperOp]
     In the operator picture they are left multiplication by U and right
     multiplication by U: (U ∨ I)(X) = U X and (I ∨ U†)(X) = X U.
     """
-    u = weyl_operator(space, p)
+    u = displacement(space, p.z)
     return vee(u, identity(space)), vee(identity(space), u.dag())

@@ -95,8 +95,7 @@ def test_kernel_contracts(tmp_path):
     assert contracts["project_hol_max_err"]["ok"] == "true"
 
 
-def test_husimi_grid(tmp_path, monkeypatch):
-    monkeypatch.setenv("HSQM_THREADS", "2")
+def test_husimi_grid(tmp_path):
     code, raw = _run(tmp_path, ["husimi", "--N", "8"])
     assert code == 0
     rows = [r for r in _rows(raw) if r["kind"] == "row"]

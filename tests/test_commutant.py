@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import block_diag
 
 from hsqm.commutant import (
     AlgebraGens,
@@ -135,3 +138,39 @@ def test_cyclic_separating_duality_random():
         phi = rng.standard_normal(d) + 1j * rng.standard_normal(d)
         phi /= np.linalg.norm(phi)
         assert check_separating(alg, phi) == check_cyclic(commutant_basis(alg), phi)
+
+
+def _rotated_block_algebra(blocks, seed):
+    """Two random generators of Q (⊕ M_{n_i} ⊗ I_{m_i}) Q†, Q a random
+    complex unitary."""
+    rng = np.random.default_rng(seed)
+    d = sum(n * m for n, m in blocks)
+    q, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    gens = []
+    for _ in range(2):
+        parts = [np.kron(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)), np.eye(m)) for n, m in blocks]
+        gens.append(q @ block_diag(*parts) @ q.conj().T)
+    return AlgebraGens(d, gens)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(1, 4), st.integers(1, 4)), min_size=1, max_size=3).filter(
+        lambda blocks: 2 <= sum(n * m for n, m in blocks) <= 8
+    ),
+    st.integers(0, 2**32 - 1),
+)
+def test_commutant_of_rotated_block_algebra(blocks, seed):
+    # exact oracle: dim A = sum n_i^2, dim A' = sum m_i^2, A'' = A, and A
+    # is a factor iff it has one block
+    alg = algebra_span(_rotated_block_algebra(blocks, seed))
+    comm = commutant_basis(alg)
+    assert alg.size == sum(n * n for n, _ in blocks)
+    assert comm.size == sum(m * m for _, m in blocks)
+    for x in comm.basis:
+        for g in alg.basis:
+            assert np.linalg.norm(x @ g - g @ x) <= 1e-10 * np.linalg.norm(x) * np.linalg.norm(g)
+    double = commutant_basis(comm)
+    assert double.size == alg.size
+    assert intersection_dimension(double, alg) == alg.size
+    assert is_factor(alg) == (len(blocks) == 1)

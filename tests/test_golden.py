@@ -1,0 +1,27 @@
+"""Byte-for-byte gate on the default CSV output of the CLI subcommands.
+
+The files under tests/golden/ are the stdout of each subcommand at its
+default settings.  A change that moves any printed digit fails here; if
+the change is meant to move the output, regenerate the files from the
+repository root and review the diff:
+
+    PYTHONPATH=src python -c "from hsqm import cli; [cli.main([c, '--out', f'tests/golden/{c}.csv']) for c in 'spectrum husimi resolution kms modular wigner kernel uncertainty'.split()]"
+
+``commutant`` (about 35 s) is covered by test_cli::test_commutant_contracts.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from hsqm import cli
+
+GOLDEN = Path(__file__).parent / "golden"
+COMMANDS = ("spectrum", "husimi", "resolution", "kms", "modular", "wigner", "kernel", "uncertainty")
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_default_output_matches_golden(command, tmp_path):
+    out = tmp_path / f"{command}.csv"
+    cli.main([command, "--out", str(out)])
+    assert out.read_bytes() == (GOLDEN / f"{command}.csv").read_bytes()

@@ -157,6 +157,21 @@ def test_kms_number_position():
     assert kms_residual(md, number(sp), position(sp), 0.5) <= 1e-10
 
 
+@pytest.mark.parametrize("seed", [3, 11, 29])
+def test_kms_non_diagonal_density(seed):
+    # the derived Hamiltonian -ln(rho)/beta of a non-diagonal density takes
+    # the eigenvector path in the default Hamiltonian, ham_phase and the
+    # Gibbs check of kms_residual
+    md = _random_faithful(6, seed)
+    rho = md.rho.mat
+    assert np.max(np.abs(rho - np.diag(np.diag(rho)))) > 1e-3
+    a = _random_op(6, seed + 1)
+    b = _random_op(6, seed + 2)
+    a, b = (1.0 / hs_norm(a)) * a, (1.0 / hs_norm(b)) * b
+    for t in (-1.0, -0.3, 0.0, 0.5, 1.2):
+        assert kms_residual(md, a, b, t) <= 1e-10
+
+
 def test_kms_rejects_mismatched_hamiltonian():
     sp = FockSpace(5)
     rho = ModularData.from_thermal(sp, ThermalSpec(1.0, 1.0)).rho

@@ -11,31 +11,29 @@ from hsqm.wigner import (
     PhasePoint,
     lifted_unitaries,
     unitarity_residual,
-    weyl_operator,
     wigner_function,
     wigner_inverse,
-    wigner_transform,
 )
 
 
 def test_weyl_at_origin():
     sp = FockSpace(10)
-    assert np.allclose(weyl_operator(sp, PhasePoint(0.0, 0.0)).mat, np.eye(10))
+    assert np.allclose(displacement(sp, PhasePoint(0.0, 0.0).z).mat, np.eye(10))
 
 
 def test_weyl_vacuum_element():
     sp = FockSpace(16)
-    u = weyl_operator(sp, PhasePoint(1.0, 0.0))
+    u = displacement(sp, PhasePoint(1.0, 0.0).z)
     assert u.mat[0, 0] == pytest.approx(math.exp(-0.25), abs=1e-14)
-    u2 = weyl_operator(sp, PhasePoint(0.7, -1.1))
+    u2 = displacement(sp, PhasePoint(0.7, -1.1).z)
     assert u2.mat[0, 0] == pytest.approx(math.exp(-(0.7**2 + 1.1**2) / 4.0), abs=1e-14)
 
 
 def test_weyl_adjoint_is_reflection():
     sp = FockSpace(14)
     p = PhasePoint(0.8, -0.5)
-    u = weyl_operator(sp, p)
-    v = weyl_operator(sp, PhasePoint(-p.x, -p.y))
+    u = displacement(sp, p.z)
+    v = displacement(sp, PhasePoint(-p.x, -p.y).z)
     half = sp.dim // 2
     assert np.max(np.abs((u.dag().mat - v.mat)[:half, :half])) <= 1e-12
 
@@ -45,7 +43,7 @@ def test_weyl_composition_phase():
     p1, p2 = PhasePoint(0.5, 0.2), PhasePoint(-0.3, 0.6)
     a1, a2 = p1.z, p2.z
     phase = np.exp(1j * (a1 * np.conj(a2)).imag)
-    prod = (weyl_operator(sp, p1) @ weyl_operator(sp, p2)).mat
+    prod = (displacement(sp, p1.z) @ displacement(sp, p2.z)).mat
     target = phase * displacement(sp, a1 + a2).mat
     half = sp.dim // 2
     assert np.max(np.abs((prod - target)[:half, :half])) <= 1e-10
@@ -55,10 +53,10 @@ def test_weyl_composition_phase():
 def test_transform_of_vacuum_projector():
     sp = FockSpace(12)
     x00 = basis_element(sp, 0, 0)
-    assert wigner_transform(x00, PhasePoint(0.0, 0.0)) == pytest.approx((2 * math.pi) ** -0.5, abs=1e-14)
+    assert wigner_function(x00)(0.0, 0.0) == pytest.approx((2 * math.pi) ** -0.5, abs=1e-14)
     for x, y in ((1.0, 0.0), (0.4, -0.9)):
         expect = (2 * math.pi) ** -0.5 * math.exp(-(x**2 + y**2) / 4.0)
-        assert wigner_transform(x00, PhasePoint(x, y)) == pytest.approx(expect, abs=1e-13)
+        assert wigner_function(x00)(x, y) == pytest.approx(expect, abs=1e-13)
 
 
 def test_transform_matches_displacement_entries():
@@ -69,7 +67,7 @@ def test_transform_matches_displacement_entries():
         p = PhasePoint(float(x), float(y))
         d = displacement(sp, p.z).mat
         n, l = rng.integers(0, 8, 2)
-        got = wigner_transform(basis_element(sp, int(n), int(l)), p)
+        got = wigner_function(basis_element(sp, int(n), int(l)))(p.x, p.y)
         expect = np.conj(d[n, l]) / math.sqrt(2 * math.pi)
         assert got == pytest.approx(expect, abs=1e-13)
 
@@ -84,6 +82,13 @@ def test_round_trips():
 
     zero = wigner_inverse(lambda xs, ys: np.zeros_like(np.asarray(xs), dtype=complex), scheme, sp)
     assert hs_norm(zero) == 0.0
+
+
+def test_inverse_rejects_scalar_only_function():
+    # phase functions are evaluated on the whole node grid at once; one
+    # scalar back for the grid is an error, not a value to broadcast
+    with pytest.raises(ValueError):
+        wigner_inverse(lambda xs, ys: 1.0, QuadratureScheme.default(8), FockSpace(8))
 
 
 def test_round_trip_mixed_operator():
@@ -133,7 +138,7 @@ def test_lifted_expansion_coefficients():
     for j, i in ((0, 0), (2, 1), (4, 3)):
         coeff = hs_inner(basis_element(sp, j, i), moved)
         pred = math.sqrt(2 * math.pi) * math.sqrt(lam[i]) * np.conj(
-            wigner_transform(basis_element(sp, j, i), p)
+            wigner_function(basis_element(sp, j, i))(p.x, p.y)
         )
         assert coeff == pytest.approx(pred, abs=1e-8)
 
