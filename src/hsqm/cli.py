@@ -189,10 +189,11 @@ def _cmd_commutant(args):
         ],
     }
     spans = {}
+    commutants = {}
     for name, sups in gens.items():
         alg = vn.algebra_span(vn.AlgebraGens(args.N**2, [s.to_dense() for s in sups]))
         spans[name] = alg
-        comm = vn.commutant_basis(alg)
+        comm = commutants[name] = vn.commutant_basis(alg)
         double = vn.commutant_basis(comm)
         factor = vn.is_factor(alg)
         rows.append(
@@ -212,7 +213,7 @@ def _cmd_commutant(args):
     _check_equal(
         contracts,
         "left_right_mutual_commutant",
-        all(vn.span_contains(spans["right"], m) for m in vn.commutant_basis(spans["left"]).basis),
+        all(vn.span_contains(spans["right"], m) for m in commutants["left"].basis),
         True,
     )
     return rows, contracts

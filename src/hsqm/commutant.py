@@ -71,21 +71,22 @@ def _orthonormal_span(mats, dim: int) -> list:
 def algebra_span(gens: AlgebraGens) -> AlgebraBasis:
     """Basis of the smallest unital *-algebra containing the generators.
 
-    Adjoins the identity and all adjoints, then multiplies basis pairs
-    until the spanned dimension stops growing.  Terminates in at most
-    d^2 rounds since the dimension strictly increases.
+    Adjoins the identity and all adjoints, then multiplies the basis on
+    the right by the orthonormal basis of that seed span until the
+    spanned dimension stops growing.  A span closed under right
+    multiplication by the generators holds every word in them, so this
+    is the full closure; the unit-norm seed keeps the relative rank
+    cutoff scale-free.  Terminates in at most d^2 rounds since the
+    dimension strictly increases.
     """
     d = gens.dim
     seed = [np.eye(d, dtype=complex)]
     for g in gens.generators:
         seed.append(g)
         seed.append(g.conj().T)
-    basis = _orthonormal_span(seed, d)
+    seed_basis = basis = _orthonormal_span(seed, d)
     for _ in range(d * d):
-        candidates = list(basis)
-        for a in basis:
-            for b in basis:
-                candidates.append(a @ b)
+        candidates = basis + [a @ b for a in basis for b in seed_basis]
         new_basis = _orthonormal_span(candidates, d)
         if len(new_basis) == len(basis):
             return AlgebraBasis(d, new_basis)
@@ -98,13 +99,15 @@ def commutant_basis(alg: AlgebraBasis) -> AlgebraBasis:
 
     Row-major vec turns X -> XG - GX into kron(I, G^T) - kron(G, I);
     stacking these over the basis and taking the SVD null space gives an
-    orthonormal commutant basis directly.
+    orthonormal commutant basis directly.  The stack has size * d^2 >= d^2
+    rows, so it is tall and a thin SVD already returns all d^2 rows of Vh,
+    the whole null space included.
     """
     d = alg.dim
     eye = np.eye(d)
     blocks = [np.kron(eye, g.T) - np.kron(g, eye) for g in alg.basis]
     stacked = np.vstack(blocks)
-    _, s, vh = np.linalg.svd(stacked)
+    _, s, vh = np.linalg.svd(stacked, full_matrices=False)
     # basis elements are unit Frobenius norm, so genuine non-commutation
     # shows at scale ~1; flooring the cutoff keeps an all-noise stack
     # (e.g. the scalar algebra) from faking rank
@@ -122,7 +125,6 @@ def intersection_dimension(a: AlgebraBasis, b: AlgebraBasis) -> int:
     """
     if a.dim != b.dim:
         raise ValueError("algebras act on different dimensions")
-    d2 = a.dim**2
     va = np.vstack([m.ravel()[None, :] for m in a.basis])  # rows orthonormal
     vb = np.vstack([m.ravel()[None, :] for m in b.basis])
     pa = va.conj().T @ va

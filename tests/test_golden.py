@@ -5,9 +5,7 @@ default settings.  A change that moves any printed digit fails here; if
 the change is meant to move the output, regenerate the files from the
 repository root and review the diff:
 
-    PYTHONPATH=src python -c "from hsqm import cli; [cli.main([c, '--out', f'tests/golden/{c}.csv']) for c in 'spectrum husimi resolution kms modular wigner kernel uncertainty'.split()]"
-
-``commutant`` (about 35 s) is covered by test_cli::test_commutant_contracts.
+    PYTHONPATH=src python -c "from hsqm import cli; [cli.main([c, '--out', f'tests/golden/{c}.csv']) for c in 'spectrum husimi resolution kms modular commutant wigner kernel uncertainty'.split()]"
 """
 
 from pathlib import Path
@@ -17,7 +15,7 @@ import pytest
 from hsqm import cli
 
 GOLDEN = Path(__file__).parent / "golden"
-COMMANDS = ("spectrum", "husimi", "resolution", "kms", "modular", "wigner", "kernel", "uncertainty")
+COMMANDS = ("spectrum", "husimi", "resolution", "kms", "modular", "commutant", "wigner", "kernel", "uncertainty")
 
 
 @pytest.mark.parametrize("command", COMMANDS)
