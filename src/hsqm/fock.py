@@ -158,27 +158,62 @@ def osc_hamiltonian(space: FockSpace, omega: float) -> Operator:
     return Operator(space, np.diag(omega * (np.arange(space.dim) + 0.5)))
 
 
-@functools.lru_cache(maxsize=16)
-def _closed_form_tables(n_levels: int) -> tuple[np.ndarray, ...]:
-    """Index tables of the N x N closed form, read-only and shared.
+def _closed_form_support(rows: np.ndarray, cols: np.ndarray, n_levels: int) -> tuple[np.ndarray, ...]:
+    """Index tables of the closed form on the entries (rows[p], cols[p]).
 
     An entry's magnitude depends only on the pair (lo, k) = (min(m, n),
-    |m - n|), so it is computed once per upper-triangle pair and gathered
-    through ``pair``; its phase depends only on the charge m - n, stored
-    as the column ``charge`` of a table over c = -(N-1) .. N-1.
+    |m - n|), so it is computed once per distinct pair and gathered
+    through ``pair``; its phase depends only on the charge m - n, computed
+    once per distinct value in ``charges`` and gathered through ``charge``.
     """
-    lo, hi = np.triu_indices(n_levels)
-    pair = np.zeros((n_levels, n_levels), dtype=np.intp)
-    pair[lo, hi] = np.arange(lo.size)
-    pair = np.maximum(pair, pair.T)
-    idx = np.arange(n_levels)
-    charge = np.subtract.outer(idx, idx) + n_levels - 1
+    pairs, pair = np.unique(np.minimum(rows, cols) * n_levels + np.abs(rows - cols), return_inverse=True)
+    charges, charge = np.unique(rows - cols, return_inverse=True)
+    lo, k = np.divmod(pairs, n_levels)
     # log sqrt(min!/max!), through log-gamma
-    log_ratio = 0.5 * (gammaln(lo + 1) - gammaln(hi + 1))
-    tables = (lo, hi - lo, log_ratio, pair, charge)
+    log_ratio = 0.5 * (gammaln(lo + 1) - gammaln(lo + k + 1))
+    # per-pair and per-charge values as columns against the labels' row
+    return lo[:, None], k[:, None], log_ratio[:, None], pair, charges[:, None], charge
+
+
+@functools.lru_cache(maxsize=16)
+def _full_support(n_levels: int) -> tuple[np.ndarray, ...]:
+    """:func:`_closed_form_support` of all N x N entries, row-major,
+    read-only and shared."""
+    rows, cols = np.divmod(np.arange(n_levels * n_levels), n_levels)
+    tables = _closed_form_support(rows, cols, n_levels)
     for table in tables:
         table.setflags(write=False)
     return tables
+
+
+def _closed_form_entries(alphas: np.ndarray, support: tuple[np.ndarray, ...]) -> np.ndarray:
+    """Entries <m|D(a)|n> at the (m, n) of ``support`` for every label in
+    the 1-d complex array ``alphas``, shape (K, P).
+
+    The factor sqrt(n!/m!) |a|^|m-n| e^(-|a|^2/2) is formed in log
+    space inside one exponential, so it stays finite where |a|^|m-n| alone
+    would overflow (large N); the phase (a/|a|)^(m-n), with the sign
+    (-1)^|m-n| of the m < n entries, is taken per charge m - n.
+    """
+    lo, k, log_ratio, pair, charges, charge = support
+    r = np.abs(alphas)
+    nonzero = r > 0
+    # a unit phase of 0 at a = 0 zeroes every charge but c = 0 (0**0 = 1);
+    # the angle, unlike a / |a|, stays finite for subnormal labels
+    unit = np.where(nonzero, np.exp(1j * np.angle(alphas)), 0.0)
+    # tables run over (charge or pair, label), so each gather below copies
+    # whole rows; the result is returned as its (K, P) transpose
+    phase = np.where(charges >= 0, unit, -unit.conj()) ** np.abs(charges)
+
+    t = r**2
+    mag = log_ratio + k * np.log(np.where(nonzero, r, 1.0))
+    mag -= t / 2.0
+    np.exp(mag, out=mag)
+    mag *= eval_genlaguerre(lo, k, t)
+
+    entries = phase[charge]
+    entries *= mag[pair]
+    return entries.T
 
 
 def displacement_stack(space: FockSpace, alphas: np.ndarray) -> np.ndarray:
@@ -190,35 +225,12 @@ def displacement_stack(space: FockSpace, alphas: np.ndarray) -> np.ndarray:
 
     with the m < n entries filled from D(a)† = D(-a).  Each entry is the
     exact (untruncated) matrix element, so there is no exponential
-    truncation artifact per entry.
-
-    The magnitude sqrt(n!/m!) |a|^|m-n| e^(-|a|^2/2) is formed in log
-    space inside one exponential, so it stays finite where |a|^|m-n| alone
-    would overflow (large N); the phase (a/|a|)^(m-n), with the sign
-    (-1)^|m-n| of the m < n entries, comes from a table per charge m - n.
-    a = 0 gives the identity exactly.
+    truncation artifact per entry; it stays finite at large N (see
+    :func:`_closed_form_entries`).  a = 0 gives the identity exactly.
     """
     alphas = np.atleast_1d(np.asarray(alphas, dtype=complex))
     n_levels = space.dim
-    lo, k, log_ratio, pair, charge = _closed_form_tables(n_levels)
-
-    r = np.abs(alphas)
-    nonzero = r > 0
-    # a unit phase of 0 at a = 0 zeroes every charge but c = 0 (0**0 = 1);
-    # the angle, unlike a / |a|, stays finite for subnormal labels
-    unit = np.where(nonzero, np.exp(1j * np.angle(alphas)), 0.0)
-    charges = np.arange(1 - n_levels, n_levels)
-    phase = np.where(charges >= 0, unit[:, None], -unit.conj()[:, None]) ** np.abs(charges)
-
-    t = r**2
-    mag = log_ratio + k * np.log(np.where(nonzero, r, 1.0))[:, None]
-    mag -= (t / 2.0)[:, None]
-    np.exp(mag, out=mag)
-    mag *= eval_genlaguerre(lo, k, t[:, None])
-
-    stack = phase[:, charge]
-    stack *= mag[:, pair]
-    return stack
+    return _closed_form_entries(alphas, _full_support(n_levels)).reshape(-1, n_levels, n_levels)
 
 
 def displacement(space: FockSpace, alpha: complex) -> Operator:

@@ -114,9 +114,11 @@ def _right_weight_deviation(
     on inputs supported on levels <= max_level (default N/4)."""
     if max_level is None:
         max_level = space.dim // 4
-    dense = resolution_operator(space, spec, scheme, mirrored).to_dense()
-    reference = np.kron(np.eye(space.dim), np.diag(weights))
-    return float(np.linalg.norm((dense - reference)[:, block_indices(space, max_level)], 2))
+    cols = block_indices(space, max_level)
+    deviation = resolution_operator(space, spec, scheme, mirrored).to_dense()[:, cols]
+    # the reference is diagonal: entry n*N + l carries weights[l]
+    deviation[cols, np.arange(cols.size)] -= weights[cols % space.dim]
+    return float(np.linalg.norm(deviation, 2))
 
 
 def resolution_residual(

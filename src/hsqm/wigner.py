@@ -10,8 +10,9 @@ The Wigner map
 
 is unitary from B2(H_N) onto its image in L^2 of the plane, with inverse
 W^(-1) f = (2 pi)^(-1/2) * integral U(x, y) f(x, y) dx dy (weakly).
-Pointwise values reduce to entries of the displacement closed form, so
-evaluation on a quadrature grid amounts to one displacement stack.
+Pointwise values reduce to entries of the displacement closed form: only
+the nonzero entries X_mn enter the trace, so K points cost K * nnz(X)
+closed-form entries, never K full N x N matrices.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .fock import FockSpace, Operator, displacement, displacement_stack, identity
+from .fock import FockSpace, Operator, _closed_form_entries, _closed_form_support, displacement, identity
 from .hs_space import SuperOp, hs_inner, vee
 from .quadrature import QuadratureScheme
 
@@ -61,15 +62,20 @@ def _z_of_xy(x, y):
 
 
 def wigner_function(x: Operator) -> PhaseFunction:
-    """The whole map W X as a vectorized phase-space function."""
-    mat = x.mat.copy()
-    space = x.space
+    """The whole map W X as a vectorized phase-space function.
+
+    The support of X is found once, here; each evaluation computes the
+    closed form only at those entries.
+    """
+    rows, cols = np.nonzero(x.mat)
+    coeffs = x.mat[rows, cols]
+    support = _closed_form_support(rows, cols, x.space.dim)
 
     def f(xs, ys):
         zs = np.atleast_1d(_z_of_xy(xs, ys)).ravel()
-        stack = displacement_stack(space, zs)
-        np.conj(stack, out=stack)
-        vals = np.einsum("kmn,mn->k", stack, mat) / math.sqrt(2.0 * math.pi)
+        entries = _closed_form_entries(zs, support)
+        np.conj(entries, out=entries)
+        vals = np.einsum("kp,p->k", entries, coeffs) / math.sqrt(2.0 * math.pi)
         return vals.reshape(np.shape(np.asarray(xs))) if np.ndim(xs) else vals[0]
 
     return f

@@ -133,3 +133,13 @@ def test_small_quadrature_guard(tmp_path, capsys):
         ["wigner", "--N", "12", "--radial-nodes", "24", "--angular-nodes", "25", "--allow-small", "--out", str(tmp_path / "w2.csv")]
     )
     assert code2 in (0, 1)
+
+
+def test_wigner_large_n(tmp_path):
+    # the W-images of |0><0| and |1><2| are evaluated on their one-entry
+    # supports, so N=64 (K = 32 896 nodes) stays cheap
+    code, raw = _run(tmp_path, ["wigner", "--N", "64"])
+    assert code == 0
+    contracts = {r["name"]: float(r["value"]) for r in _rows(raw) if r["kind"] == "contract"}
+    assert set(contracts) == {"roundtrip_residual_00", "roundtrip_residual_12", "unitarity_gram_max_dev"}
+    assert max(contracts.values()) <= 1e-12

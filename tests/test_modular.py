@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hsqm.commutant import AlgebraGens, algebra_span, span_contains
 from hsqm.fock import FockSpace, Operator, ThermalSpec, identity, number, osc_hamiltonian, position
@@ -99,6 +101,21 @@ def test_tomita_defining_property():
 )
 def test_polar_decomposition(make_md):
     assert polar_check(make_md()) <= 1e-12
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(3, 7), st.floats(1e-2, 1.0), st.integers(0, 2**32 - 1))
+def test_polar_decomposition_generated_density(n, eps, seed):
+    # rho = M M† + eps I, normalized: non-diagonal, so ModularData takes the
+    # eigh path; eps keeps the eigenvalue ratio near 1e-4 or above, far from
+    # the 1e-14 faithfulness floor
+    rng = np.random.default_rng(seed)
+    m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    rho = m @ m.conj().T + eps * np.eye(n)
+    rho /= np.trace(rho).real
+    assert np.max(np.abs(rho - np.diag(np.diag(rho)))) > 0
+    md = ModularData(Operator(FockSpace(n), rho), beta=1.0)
+    assert polar_check(md) <= 1e-12
 
 
 def test_delta_half_and_f_map():

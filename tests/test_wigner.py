@@ -2,8 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hsqm.fock import FockSpace, Operator, ThermalSpec, displacement, gibbs_density, identity, osc_hamiltonian
+from hsqm.fock import (
+    FockSpace,
+    Operator,
+    ThermalSpec,
+    displacement,
+    displacement_stack,
+    gibbs_density,
+    identity,
+    osc_hamiltonian,
+)
 from hsqm.hs_space import basis_element, hs_inner, hs_norm, vee
 from hsqm.quadrature import QuadratureScheme
 from hsqm.thermal import thermal_vector
@@ -70,6 +81,66 @@ def test_transform_matches_displacement_entries():
         got = wigner_function(basis_element(sp, int(n), int(l)))(p.x, p.y)
         expect = np.conj(d[n, l]) / math.sqrt(2 * math.pi)
         assert got == pytest.approx(expect, abs=1e-13)
+
+
+def _stack_transform(x, xs, ys):
+    """W X at the points through full displacement matrices."""
+    zs = (np.asarray(ys) - 1j * np.asarray(xs)) / math.sqrt(2.0)
+    stack = displacement_stack(x.space, zs)
+    return np.einsum("kmn,mn->k", stack.conj(), x.mat) / math.sqrt(2.0 * math.pi)
+
+
+def _disc_points(rng, n_levels, count):
+    radius = math.sqrt(n_levels) / 4.0 * np.sqrt(rng.uniform(0.0, 1.0, count))
+    angle = rng.uniform(0.0, 2.0 * math.pi, count)
+    return radius * np.cos(angle), radius * np.sin(angle)
+
+
+def test_support_transform_of_matrix_units_is_exact():
+    # one entry of the closed form per point: the same bits as the full
+    # displacement matrices give
+    rng = np.random.default_rng(31)
+    for n_levels in (2, 7, 16):
+        sp = FockSpace(n_levels)
+        xs, ys = _disc_points(rng, n_levels, 40)
+        xs[0] = ys[0] = 0.0
+        for n in range(n_levels):
+            for l in range(n_levels):
+                x = basis_element(sp, n, l)
+                assert np.array_equal(wigner_function(x)(xs, ys), _stack_transform(x, xs, ys))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 12), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
+def test_support_transform_of_sparse_operator(n_levels, density, seed):
+    rng = np.random.default_rng(seed)
+    sp = FockSpace(n_levels)
+    keep = rng.uniform(size=(n_levels, n_levels)) < density
+    mat = np.where(keep, rng.uniform(-1, 1, keep.shape) + 1j * rng.uniform(-1, 1, keep.shape), 0.0)
+    x = Operator(sp, mat)
+    xs, ys = _disc_points(rng, n_levels, 25)
+    assert np.max(np.abs(wigner_function(x)(xs, ys) - _stack_transform(x, xs, ys))) <= 1e-14
+
+
+def test_support_transform_of_dense_operator():
+    sp = FockSpace(24)
+    rng = np.random.default_rng(37)
+    mat = rng.standard_normal((24, 24)) + 1j * rng.standard_normal((24, 24))
+    x = Operator(sp, mat / np.linalg.norm(mat))
+    xs, ys = QuadratureScheme.default(24).xy_nodes()
+    assert np.max(np.abs(wigner_function(x)(xs, ys) - _stack_transform(x, xs, ys))) <= 1e-14
+
+
+def test_support_transform_shapes():
+    sp = FockSpace(6)
+    zero = wigner_function(Operator(sp, np.zeros((6, 6))))
+    xs = np.linspace(-1.0, 1.0, 12).reshape(3, 4)
+    vals = zero(xs, -xs)
+    assert vals.shape == (3, 4) and np.all(vals == 0)
+    assert np.ndim(zero(0.5, -0.2)) == 0 and zero(0.5, -0.2) == 0
+    one = wigner_function(basis_element(sp, 2, 1))(0.3, -0.4)
+    assert np.ndim(one) == 0
+    assert one == _stack_transform(basis_element(sp, 2, 1), [0.3], [-0.4])[0]
 
 
 def test_round_trips():
