@@ -176,8 +176,8 @@ def _cmd_modular(args):
 
 
 def _cmd_commutant(args):
-    if args.N > 4:
-        raise ValueError("commutant analysis is limited to N <= 4 (ambient dimension N^4)")
+    if args.N > 5:
+        raise ValueError("commutant analysis is limited to N <= 5 (ambient dimension N^4)")
     space = FockSpace(args.N)
     rows = []
     contracts = []

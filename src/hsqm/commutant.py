@@ -1,12 +1,13 @@
 """Finite-dimensional von Neumann algebra laboratory.
 
 Algebras are linear spans of d x d matrices, held as Frobenius-orthonormal
-bases.  Everything reduces to numerical linear algebra on row-major
-vectorized matrices: closures under products, commutant null spaces,
-span intersections, and cyclic/separating rank checks.
-
-All inputs in practice are exact small-integer or sqrt-integer data, so
-singular-value gaps are large; ranks use a relative 1e-10 cutoff.
+bases, whose row-major vecs are the orthonormal rows of a size x d^2 matrix
+V.  Both kernels rest on the bicommutant theorem, A'' = A for a unital
+*-algebra: the twirl X -> sum_i B_i X B_i^dagger over a basis of B is
+Hermitian positive semidefinite with range exactly B', so a commutant is
+one d^2 x d^2 ``eigh``; and the algebra generated by a set is (A')', with
+A' the null space of the generators' commutators.  Ranks use a relative
+1e-10 cutoff; a kernel whose preconditions fail raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -28,6 +29,10 @@ __all__ = [
 ]
 
 _RANK_TOL = 1e-10
+#: a clear rank gap: every discarded singular value is this far below the cutoff
+_GAP_RATIO = 1e-3
+#: distance from a span, for unit vectors, that still counts as inside it
+_CLOSURE_TOL = 1e-8
 
 
 @dataclass
@@ -58,90 +63,84 @@ class AlgebraBasis:
         return len(self.basis)
 
 
-def _orthonormal_span(mats, dim: int) -> list:
-    """Orthonormal basis (as matrices) of the span of the given matrices."""
-    stack = np.vstack([m.ravel()[None, :] for m in mats])
-    _, s, vh = np.linalg.svd(stack, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        return []
-    keep = s > _RANK_TOL * s[0]
-    return [vh[i].reshape(dim, dim) for i in range(len(s)) if keep[i]]
+def _rows(alg: AlgebraBasis) -> np.ndarray:
+    """The basis as the rows of a size x d^2 matrix (row-major vec)."""
+    return np.reshape(alg.basis, (alg.size, alg.dim * alg.dim))
+
+
+def _outside(rows: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """Norm of each vector's component outside the span of orthonormal rows."""
+    return np.linalg.norm(vecs - (vecs @ rows.conj().T) @ rows, axis=-1)
 
 
 def algebra_span(gens: AlgebraGens) -> AlgebraBasis:
     """Basis of the smallest unital *-algebra containing the generators.
 
-    Adjoins the identity and all adjoints, then multiplies the basis on
-    the right by the orthonormal basis of that seed span until the
-    spanned dimension stops growing.  A span closed under right
-    multiplication by the generators holds every word in them, so this
-    is the full closure; the unit-norm seed keeps the relative rank
-    cutoff scale-free.  Terminates in at most d^2 rounds since the
-    dimension strictly increases.
+    A' is the null space of X -> [X, g] and [X, g^dagger] over the generators
+    scaled to unit norm (an adjoint already listed adds no block); A = (A')'.
+    Raises ``ValueError`` when the commutator stack has no clear rank gap or
+    a generator falls outside the result.
     """
     d = gens.dim
-    seed = [np.eye(d, dtype=complex)]
-    for g in gens.generators:
-        seed.append(g)
-        seed.append(g.conj().T)
-    seed_basis = basis = _orthonormal_span(seed, d)
-    for _ in range(d * d):
-        candidates = basis + [a @ b for a in basis for b in seed_basis]
-        new_basis = _orthonormal_span(candidates, d)
-        if len(new_basis) == len(basis):
-            return AlgebraBasis(d, new_basis)
-        basis = new_basis
-    return AlgebraBasis(d, basis)
+    units = [g / (np.linalg.norm(g) or 1.0) for g in gens.generators]
+    ops = []
+    for g in units:
+        for h in (g, g.conj().T):
+            if not any(np.array_equal(h, o) for o in ops):
+                ops.append(h)
+    # row-major vec turns X -> Xh - hX into kron(I, h^T) - kron(h, I)
+    eye = np.eye(d)
+    _, s, vh = np.linalg.svd(np.vstack([np.kron(eye, h.T) - np.kron(h, eye) for h in ops]), full_matrices=False)
+    # unit generators: genuine non-commutation shows at scale ~1; flooring
+    # the cutoff keeps an all-noise stack (scalar generators) from faking rank
+    cutoff = _RANK_TOL * max(float(s[0]), 1.0)
+    rank = int(np.sum(s > cutoff))
+    if rank < s.size and s[rank] > _GAP_RATIO * cutoff:
+        raise ValueError(f"generator commutators have no clear rank gap: {s[rank]:.3g} against cutoff {cutoff:.3g}")
+    # M = U S Vh, so the null vectors of M are the conjugated rows of Vh
+    alg = commutant_basis(AlgebraBasis(d, list(vh[rank:].conj().reshape(-1, d, d))))
+    if np.max(_outside(_rows(alg), np.reshape(units, (len(units), d * d)))) > _CLOSURE_TOL:
+        raise ValueError("a generator lies outside the computed span")
+    return alg
 
 
 def commutant_basis(alg: AlgebraBasis) -> AlgebraBasis:
     """Orthonormal basis of {X : [X, G] = 0 for every basis element G}.
 
-    Row-major vec turns X -> XG - GX into kron(I, G^T) - kron(G, I);
-    stacking these over the basis and taking the SVD null space gives an
-    orthonormal commutant basis directly.  The stack has size * d^2 >= d^2
-    rows, so it is tall and a thin SVD already returns all d^2 rows of Vh,
-    the whole null space included.
+    The twirl X -> sum_i B_i X B_i^dagger is the reshuffle of V^T conj(V);
+    for a unital *-algebra its range is exactly the commutant, spanned by its
+    eigenvectors above the rank cutoff (returned largest eigenvalue first).
+    Raises ``ValueError`` on a span without the identity or not closed under
+    adjoints, where the twirl has another range.
     """
     d = alg.dim
-    eye = np.eye(d)
-    blocks = [np.kron(eye, g.T) - np.kron(g, eye) for g in alg.basis]
-    stacked = np.vstack(blocks)
-    _, s, vh = np.linalg.svd(stacked, full_matrices=False)
-    # basis elements are unit Frobenius norm, so genuine non-commutation
-    # shows at scale ~1; flooring the cutoff keeps an all-noise stack
-    # (e.g. the scalar algebra) from faking rank
-    cutoff = _RANK_TOL * max(float(s[0]) if s.size else 0.0, 1.0)
-    rank = int(np.sum(s > cutoff))
-    # M = U S Vh, so the null vectors of M are the conjugated rows of Vh
-    return AlgebraBasis(d, [row.conj().reshape(d, d) for row in vh[rank:]])
+    v = _rows(alg)
+    adjoints = v.reshape(-1, d, d).transpose(0, 2, 1).conj().reshape(-1, d * d)
+    outside = _outside(v, np.vstack([np.eye(d).reshape(1, d * d) / np.sqrt(d), adjoints]))
+    if outside[0] > _CLOSURE_TOL:
+        raise ValueError("span does not contain the identity; the commutant needs a unital *-algebra")
+    if np.max(outside) > _CLOSURE_TOL:
+        raise ValueError("span is not closed under adjoints; the commutant needs a unital *-algebra")
+    twirl = (v.T @ v.conj()).reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
+    lam, vecs = np.linalg.eigh(twirl)
+    # the eigenvalues on B' are ratios of block multiplicities, >= 1/d
+    keep = np.flatnonzero(lam > _RANK_TOL * max(float(lam[-1]), 1.0))[::-1]
+    return AlgebraBasis(d, list(vecs[:, keep].T.reshape(-1, d, d)))
 
 
 def intersection_dimension(a: AlgebraBasis, b: AlgebraBasis) -> int:
-    """Dimension of span(a) ∩ span(b) via orthonormal-projector product.
-
-    Eigenvalues of P_a P_b P_a cluster at 1 on the intersection and away
-    from 1 elsewhere; exact inputs keep the gap wide.
-    """
+    """Dimension of span(a) ∩ span(b): the singular values of V_a V_b^dagger
+    are the cosines of the principal angles, 1 on the intersection."""
     if a.dim != b.dim:
         raise ValueError("algebras act on different dimensions")
-    va = np.vstack([m.ravel()[None, :] for m in a.basis])  # rows orthonormal
-    vb = np.vstack([m.ravel()[None, :] for m in b.basis])
-    pa = va.conj().T @ va
-    pb = vb.conj().T @ vb
-    evals = np.linalg.eigvalsh(pa @ pb @ pa)
-    return int(np.sum(evals > 0.5))
+    cosines = np.linalg.svd(_rows(a) @ _rows(b).conj().T, compute_uv=False)
+    return int(np.sum(cosines * cosines > 0.5))
 
 
 def span_contains(alg: AlgebraBasis, mat: np.ndarray, tol: float = 1e-10) -> bool:
     """True if the matrix lies in the algebra's span up to tolerance."""
-    v = mat.ravel()
-    proj = np.zeros_like(v)
-    for b in alg.basis:
-        w = b.ravel()
-        proj = proj + w * np.vdot(w, v)
-    scale = max(np.linalg.norm(v), 1.0)
-    return bool(np.linalg.norm(v - proj) <= tol * scale)
+    v = np.ravel(mat)
+    return bool(_outside(_rows(alg), v) <= tol * max(np.linalg.norm(v), 1.0))
 
 
 def is_factor(alg: AlgebraBasis) -> bool:

@@ -70,6 +70,13 @@ def test_commutant_contracts(tmp_path):
     assert contracts and all(r["ok"] == "true" for r in contracts)
 
 
+def test_commutant_n5(tmp_path):
+    code, raw = _run(tmp_path, ["commutant", "--N", "5"])
+    assert code == 0
+    contracts = [r for r in _rows(raw) if r["kind"] == "contract"]
+    assert contracts and all(r["ok"] == "true" for r in contracts)
+
+
 def test_commutant_rejects_large_n(tmp_path, capsys):
     code = cli.main(["commutant", "--N", "8", "--out", str(tmp_path / "x.csv")])
     assert code == 2

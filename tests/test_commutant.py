@@ -4,7 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import block_diag
 
+from hsqm import commutant
 from hsqm.commutant import (
+    AlgebraBasis,
     AlgebraGens,
     algebra_span,
     check_cyclic,
@@ -47,19 +49,9 @@ def test_span_generic_diagonal():
     assert alg.size == 3
 
 
-_NOISE_RANK = "the relative 1e-10 cutoff keeps noise-level, off-diagonal directions when the powers span too many decades"
-
-
 @pytest.mark.parametrize(
     "base, d",
-    [
-        (2, 9),
-        (2, 10),
-        (2, 11),
-        (2, 12),
-        pytest.param(3, 11, marks=pytest.mark.xfail(strict=True, reason=_NOISE_RANK)),
-        pytest.param(2, 13, marks=pytest.mark.xfail(strict=True, reason=_NOISE_RANK)),
-    ],
+    [(2, 9), (2, 10), (2, 11), (2, 12), (2, 13), (2, 20), (3, 11), (3, 15), (3, 20), (3, 22), (5, 14)],
 )
 def test_span_of_geometric_diagonal_is_diagonal(base, d):
     # one diagonal generator with distinct entries generates the diagonal
@@ -69,11 +61,40 @@ def test_span_of_geometric_diagonal_is_diagonal(base, d):
     assert not is_factor(alg)
 
 
-@pytest.mark.parametrize("scale", [1.0, 1e12])
+@pytest.mark.parametrize("scale", [1e-12, 1.0, 1e12])
 def test_span_closure_is_scale_free(scale):
     shift = np.eye(4, k=1)
     assert algebra_span(AlgebraGens(4, [scale * shift])).size == 16
     assert algebra_span(AlgebraGens(4, [scale * np.diag([1.0, 2.0, 3.0, 4.0])])).size == 4
+
+
+def test_commutant_rejects_non_unital_span():
+    # span{E_11} is a *-algebra without the identity; its twirl would
+    # return span{E_11} instead of the commutant span{E_11, E_22}
+    with pytest.raises(ValueError, match="identity"):
+        commutant_basis(AlgebraBasis(2, [np.diag([1.0, 0.0])]))
+
+
+def test_commutant_rejects_span_not_closed_under_adjoints():
+    with pytest.raises(ValueError, match="adjoints"):
+        commutant_basis(AlgebraBasis(2, [np.eye(2) / np.sqrt(2), np.eye(2, k=1)]))
+
+
+def test_span_rejects_stack_without_rank_gap():
+    # two eigenvalues 3e-11 apart: the commutator stack has a singular
+    # value just under the rank cutoff, so the rank is not well defined
+    rng = np.random.default_rng(3)
+    q, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+    g = q @ np.diag([1.0, 1.0 + 3e-11, 2.0]) @ q.conj().T
+    with pytest.raises(ValueError, match="rank gap"):
+        algebra_span(AlgebraGens(3, [g]))
+
+
+def test_span_rejects_generator_outside_result(monkeypatch):
+    # a commutant solve that lost directions must not pass as the span
+    monkeypatch.setattr(commutant, "commutant_basis", lambda alg: AlgebraBasis(alg.dim, [np.eye(alg.dim) / np.sqrt(alg.dim)]))
+    with pytest.raises(ValueError, match="outside"):
+        algebra_span(AlgebraGens(3, [np.diag([1.0, 2.0, 3.0])]))
 
 
 def test_commutant_of_full_is_scalars():
@@ -203,3 +224,24 @@ def test_commutant_of_rotated_block_algebra(blocks, seed):
     assert double.size == alg.size
     assert intersection_dimension(double, alg) == alg.size
     assert is_factor(alg) == (len(blocks) == 1)
+
+
+def _projector(alg):
+    rows = np.vstack([m.ravel()[None, :] for m in alg.basis])
+    return rows.T @ rows.conj()
+
+
+@pytest.mark.parametrize("blocks", [((2, 1), (1, 2)), ((2, 2),), ((1, 1), (1, 1), (2, 1))])
+def test_intersection_and_containment_match_projector_reference(blocks):
+    # reference: eigenvalues of P_a P_b P_a near 1, and the projection as a
+    # sum over basis elements
+    alg = algebra_span(_rotated_block_algebra(blocks, 11))
+    comm = commutant_basis(alg)
+    pa, pc = _projector(alg), _projector(comm)
+    assert intersection_dimension(alg, comm) == int(np.sum(np.linalg.eigvalsh(pa @ pc @ pa) > 0.5))
+    rng = np.random.default_rng(12)
+    d = alg.dim
+    for mat in [*comm.basis, rng.standard_normal((d, d)), np.eye(d)]:
+        v = mat.ravel()
+        reference = np.linalg.norm(v - pa @ v) <= 1e-10 * max(np.linalg.norm(v), 1.0)
+        assert span_contains(alg, mat) == reference
