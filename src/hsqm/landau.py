@@ -254,21 +254,24 @@ def _sector_gaps(p: LandauParams, beta: float) -> tuple[float, float]:
     return beta * p.hbar * freq.Omega_plus, beta * p.hbar * freq.Omega_minus
 
 
-def husimi(p: LandauParams, beta: float, z_plus: complex, z_minus: complex) -> float:
+def husimi(
+    p: LandauParams, beta: float, z_plus: complex | np.ndarray, z_minus: complex | np.ndarray
+) -> float | np.ndarray:
     """Diagonal coherent-state element of the Gibbs density:
 
         [1 - e^(-b h O+)] e^(-(1 - e^(-b h O+)) |z+|^2) * (same with -),
 
     equivalently the product of two oscillator Husimi distributions with
-    mean occupations n_± = 1/(e^(b h O_±) - 1)."""
+    mean occupations n_± = 1/(e^(b h O_±) - 1).  z_plus and z_minus may be
+    arrays; the result broadcasts over them."""
     g_plus, g_minus = _sector_gaps(p, beta)
     s_plus = -math.expm1(-g_plus)
     s_minus = -math.expm1(-g_minus)
     return (
         s_plus
-        * math.exp(-s_plus * abs(z_plus) ** 2)
+        * np.exp(-s_plus * np.abs(z_plus) ** 2)
         * s_minus
-        * math.exp(-s_minus * abs(z_minus) ** 2)
+        * np.exp(-s_minus * np.abs(z_minus) ** 2)
     )
 
 
@@ -296,12 +299,8 @@ def husimi_trace_residual(p: LandauParams, beta: float, scheme: QuadratureScheme
     sector_vals = []
     for which, scale in enumerate(s):
         zs = np.sqrt(t / scale)[:, None] * phases[None, :]
-        other = s[1 - which]
-        vals = np.empty(zs.shape)
-        for i in range(zs.shape[0]):
-            for k in range(zs.shape[1]):
-                pair = (zs[i, k], 0.0) if which == 0 else (0.0, zs[i, k])
-                vals[i, k] = husimi(p, beta, *pair) / other
+        pair = (zs, 0.0) if which == 0 else (0.0, zs)
+        vals = husimi(p, beta, *pair) / s[1 - which]
         weights = (np.exp(np.log(w) + t) / (scale * m))[:, None]
         sector_vals.append(float(np.sum(weights * vals)))
     return abs(sector_vals[0] * sector_vals[1] - 1.0)

@@ -84,6 +84,58 @@ def test_commutant_rejects_large_n(tmp_path, capsys):
     assert json.loads(err.strip())["error"]
 
 
+def test_modular_large_n(tmp_path):
+    code, raw = _run(tmp_path, ["modular", "--N", "64", "--beta", "0.4"])
+    assert code == 0
+    rows = {r["name"]: r for r in _rows(raw) if r["kind"] == "row"}
+    assert float(rows["polar_residual"]["value"]) == 0.0
+
+
+def test_husimi_large_n(tmp_path):
+    code, raw = _run(tmp_path, ["husimi", "--N", "64"])
+    assert code == 0
+    assert all(r["ok"] == "true" for r in _rows(raw) if r["kind"] == "contract")
+
+
+_MIXED_ARGVS = (
+    ["spectrum", "--N", "8"],
+    ["husimi", "--N", "8", "--format", "json"],
+    ["modular", "--N", "6", "--beta", "0.5"],
+    ["kms", "--N", "5", "--omega", "1.5"],
+    ["uncertainty", "--theta", "0.3", "--N", "8", "--format", "json"],
+    ["spectrum"],
+)
+
+
+def _output(argv, out, capsys):
+    """Exit status and bytes of one call, once to stdout and once to --out."""
+    code = cli.main(argv)
+    printed = capsys.readouterr().out.encode()
+    assert cli.main(argv + ["--out", str(out)]) == code
+    return code, printed, out.read_bytes()
+
+
+def test_reused_parser_gives_fresh_call_bytes(tmp_path, capsys):
+    out = tmp_path / "out.txt"
+    fresh = []
+    for argv in _MIXED_ARGVS:
+        cli.build_parser.cache_clear()
+        fresh.append(_output(argv, out, capsys))
+    assert cli.build_parser() is cli.build_parser()
+    assert [_output(argv, out, capsys) for argv in _MIXED_ARGVS] == fresh
+
+
+def test_parser_survives_bad_argv(tmp_path, capsys):
+    out = tmp_path / "out.txt"
+    cli.build_parser.cache_clear()
+    expected = _output(["modular", "--N", "6"], out, capsys)
+    for bad in (["nope"], [], ["spectrum", "--N", "x"], ["husimi", "--format", "xml"], ["kms", "--help"]):
+        with pytest.raises(SystemExit):
+            cli.main(bad)
+        capsys.readouterr()
+        assert _output(["modular", "--N", "6"], out, capsys) == expected
+
+
 def test_wigner_grid_and_contracts(tmp_path):
     code, raw = _run(tmp_path, ["wigner", "--N", "12"])
     assert code == 0

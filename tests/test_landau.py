@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.special import gammaln
 
 from hsqm.fock import FockSpace
@@ -208,12 +210,29 @@ def test_husimi_positive_and_factorizes():
     assert husimi(DEFAULT, 1.0, 0.5, 0.6) == pytest.approx(a, rel=1e-12)
 
 
+def test_husimi_array_matches_scalar_calls():
+    rng = np.random.default_rng(8)
+    z_plus = rng.uniform(-4, 4, (9, 1)) + 1j * rng.uniform(-4, 4, (9, 1))
+    z_minus = rng.uniform(-4, 4, (1, 7)) + 1j * rng.uniform(-4, 4, (1, 7))
+    for beta in (0.2, 1.0, 3.0):
+        got = husimi(DEFAULT, beta, z_plus, z_minus)
+        assert got.shape == (9, 7)
+        scalar = [[husimi(DEFAULT, beta, complex(zp), complex(zm)) for zm in z_minus[0]] for zp in z_plus[:, 0]]
+        np.testing.assert_allclose(got, scalar, rtol=1e-14, atol=0)
+
+
 def test_husimi_flat_sector_rejected():
     flat = LandauParams(mass=1.0, omega0=0.0, omega_c=2.0, theta=0.0)
+    grid = np.linspace(-1.0, 1.0, 5) + 0.5j
     with pytest.raises(ValueError):
         husimi(flat, 1.0, 0.0, 0.0)
     with pytest.raises(ValueError):
+        husimi(flat, 1.0, grid, grid)
+    with pytest.raises(ValueError):
         partition(flat, 1.0)
+    for beta in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            husimi(DEFAULT, beta, grid, 0.0)
 
 
 def test_partition_closed_forms():
@@ -240,6 +259,23 @@ def test_husimi_trace_residual():
     assert husimi_trace_residual(DEFAULT, 2.0, scheme) <= 1e-10
     other = LandauParams(mass=0.8, omega0=0.5, omega_c=1.7, theta=0.2)
     assert husimi_trace_residual(other, 0.7, scheme) <= 1e-10
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.floats(0.5, 2.0), st.floats(0.5, 2.0), st.floats(0.5, 2.5), st.floats(0.02, 0.5), st.floats(0.5, 1.5),
+    st.floats(0.2, 3.0), st.sampled_from((8, 16, 24, 32)),
+)
+def test_husimi_trace_residual_generated_params(mass, omega0, omega_c, theta, hbar, beta, n):
+    # the region the benchmark draws husimi tasks from: both chiral
+    # frequencies positive
+    p = LandauParams(mass=mass, omega0=omega0, omega_c=omega_c, theta=theta, hbar=hbar)
+    try:
+        freq = chiral_frequencies(p)
+    except ValueError:
+        assume(False)
+    assume(freq.Omega_plus > 0 and freq.Omega_minus > 0)
+    assert husimi_trace_residual(p, beta, QuadratureScheme.default(n)) <= 1e-10
 
 
 def test_lll_state_values():

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hsqm import modular
 from hsqm.commutant import AlgebraGens, algebra_span, span_contains
 from hsqm.fock import FockSpace, Operator, ThermalSpec, identity, number, osc_hamiltonian, position
-from hsqm.hs_space import basis_element, hs_inner, hs_norm, vee
+from hsqm.hs_space import SuperOp, basis_element, hs_inner, hs_norm, vee
 from hsqm.modular import (
     AntilinearMap,
     ModularData,
@@ -91,6 +92,49 @@ def test_tomita_defining_property():
         assert hs_norm(s(a @ phi) - a.dag() @ phi) <= 1e-12
 
 
+def _polar_reference(md):
+    """polar_check as the plain loop: both sides applied to every |a><b|."""
+    s, j, half = tomita_s(md), modular_conjugation(md.space), delta_power(md, 0.5)
+    worst = 0.0
+    for a in range(md.space.dim):
+        for b in range(md.space.dim):
+            x = basis_element(md.space, a, b)
+            worst = max(worst, hs_norm(s(x) - j(half(x))))
+    return worst
+
+
+@pytest.mark.parametrize("n", range(4, 13))
+def test_polar_check_matches_reference_thermal(n):
+    for omega_beta in (0.3, 1.0, 2.5):
+        md = ModularData.from_thermal(FockSpace(n), ThermalSpec(1.0, omega_beta))
+        assert polar_check(md) == _polar_reference(md) == 0.0
+
+
+def _scaled_tomita(md):
+    s = tomita_s(md)
+    return AntilinearMap(md.space, s.left * (1.0 + 1e-6), s.right)
+
+
+def _scaled_delta_power(md, power):
+    (left, right), = delta_power(md, power).pairs
+    return SuperOp(md.space, pairs=[(left * (1.0 + 1e-6), right)])
+
+
+@pytest.mark.parametrize("name, scaled", [("tomita_s", _scaled_tomita), ("delta_power", _scaled_delta_power)])
+@pytest.mark.parametrize("make_md", [lambda: ModularData.from_thermal(FockSpace(8), ThermalSpec(1.0, 0.7)),
+                                     lambda: _random_faithful(6, 21)])
+def test_polar_check_sees_a_perturbed_side(monkeypatch, name, scaled, make_md):
+    # scaling one side's factor by 1 + 1e-6 moves that side by 1e-6 of its
+    # own size, so the check must report 1e-6 of the largest |S(|a><b|)|
+    md = make_md()
+    s = tomita_s(md)
+    size = max(
+        hs_norm(s(basis_element(md.space, a, b))) for a in range(md.space.dim) for b in range(md.space.dim)
+    )
+    monkeypatch.setattr(modular, name, scaled)
+    assert polar_check(md) == pytest.approx(1e-6 * size, rel=1e-6)
+
+
 @pytest.mark.parametrize(
     "make_md",
     [
@@ -116,6 +160,7 @@ def test_polar_decomposition_generated_density(n, eps, seed):
     assert np.max(np.abs(rho - np.diag(np.diag(rho)))) > 0
     md = ModularData(Operator(FockSpace(n), rho), beta=1.0)
     assert polar_check(md) <= 1e-12
+    assert abs(polar_check(md) - _polar_reference(md)) <= 1e-15
 
 
 def test_delta_half_and_f_map():
