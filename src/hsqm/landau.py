@@ -15,6 +15,12 @@ momentum uncertainty table of the right-action quadratures.
 
 Conventions: hbar is explicit in the dynamical quantities; the
 lowest-level wavefunctions use the magnetic length l0 = 1.
+
+Every coherent vector <n|z> = e^(-|z|^2/2) z^n / sqrt(n!) is column 0 of
+the closed-form D(z) of :func:`hsqm.fock.displacement_stack`, and every
+phase-plane frame is summed ring by ring through the polar identity of
+:mod:`hsqm.quadrature` (R real radial vectors and the mod-A charge rule),
+not over the K = R * A nodes; the frames come out real.
 """
 
 from __future__ import annotations
@@ -23,9 +29,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
-from .fock import FockSpace, Operator, annihilation, identity, osc_hamiltonian
+from .fock import FockSpace, Operator, annihilation, displacement_stack, identity, osc_hamiltonian
 from .hs_space import SuperOp, basis_element, block_indices, vee
 from .quadrature import QuadratureScheme
 from .thermal import safe_radius
@@ -221,24 +226,15 @@ def apply_hamiltonian(p: LandauParams, state: TensorState) -> TensorState:
 def tensor_cs(space: FockSpace, z_plus: complex, z_minus: complex) -> TensorState:
     """Coherent state of the chiral pair.
 
-    Coefficients factor into per-sector terms
-    z^n conj(z)^m / sqrt(n! m!) with the double Gaussian prefactor
+    Coefficients factor into per-sector terms <n|z> conj(<m|z>), so they
+    are z^n conj(z)^m / sqrt(n! m!) with the double Gaussian prefactor
     e^(-(|z+|^2 + |z-|^2)); unit norm in exact arithmetic.
     """
     bound = safe_radius(space)
     if abs(z_plus) > bound or abs(z_minus) > bound:
         raise ValueError(f"coherent labels must stay inside the safe disc |z| <= {bound:.3f}")
-    n = np.arange(space.dim)
-    scale = np.exp(-0.5 * gammaln(n + 1))
-
-    def sector(z: complex) -> np.ndarray:
-        u = (complex(z) ** n) * scale
-        return np.outer(u, u.conj())
-
-    g_plus = sector(z_plus)
-    g_minus = sector(z_minus)
-    pref = math.exp(-(abs(z_plus) ** 2 + abs(z_minus) ** 2))
-    coeffs = pref * g_plus[:, :, None, None] * g_minus[None, None, :, :]
+    plus, minus = displacement_stack(space, [z_plus, z_minus])[:, :, 0]
+    coeffs = np.multiply.outer(np.outer(plus, plus.conj()), np.outer(minus, minus.conj()))
     return TensorState(space, coeffs)
 
 
@@ -287,22 +283,21 @@ def husimi_trace_residual(p: LandauParams, beta: float, scheme: QuadratureScheme
     """|(1/pi^2) double-integral of the Husimi density - 1|.
 
     The radial variable of each sector is rescaled by its Gaussian width
-    so the Gauss-Laguerre rule integrates the factor exactly; the two
-    sector integrals multiply because the density factorizes.
+    so the Gauss-Laguerre rule integrates the factor exactly; the density
+    is radial, so each ring is evaluated once and carries the scheme's
+    ring weight.  The two sector integrals multiply because the density
+    factorizes.
     """
     g_plus, g_minus = _sector_gaps(p, beta)
     s = (-math.expm1(-g_plus), -math.expm1(-g_minus))
-    t = scheme.radial_nodes
-    w = scheme.radial_weights
-    m = scheme.angular_count
-    phases = np.exp(2j * np.pi * np.arange(m) / m)
+    count = scheme.angular_count
+    ring_weights = scheme.weights[::count] * (count / (2.0 * math.pi))
     sector_vals = []
     for which, scale in enumerate(s):
-        zs = np.sqrt(t / scale)[:, None] * phases[None, :]
-        pair = (zs, 0.0) if which == 0 else (0.0, zs)
+        radii = np.sqrt(scheme.radial_nodes / scale)
+        pair = (radii, 0.0) if which == 0 else (0.0, radii)
         vals = husimi(p, beta, *pair) / s[1 - which]
-        weights = (np.exp(np.log(w) + t) / (scale * m))[:, None]
-        sector_vals.append(float(np.sum(weights * vals)))
+        sector_vals.append(float(np.sum(ring_weights / scale * vals)))
     return abs(sector_vals[0] * sector_vals[1] - 1.0)
 
 
@@ -311,19 +306,17 @@ def husimi_trace_residual(p: LandauParams, beta: float, scheme: QuadratureScheme
 
 def lll_state(m: int, z_plus: complex) -> complex:
     """Lowest-level wavefunction of angular index m at the point z_plus,
-    with magnetic length 1:  (2 pi m!)^(-1/2) (z/sqrt(2))^m e^(-|z|^2/4)."""
-    if m < 0:
-        raise ValueError("angular index must be nonnegative")
-    z = complex(z_plus) / math.sqrt(2.0)
-    amp = math.exp(-abs(z_plus) ** 2 / 4.0 - 0.5 * gammaln(m + 1)) / math.sqrt(2.0 * math.pi)
-    return amp * z**m
+    with magnetic length 1:  (2 pi m!)^(-1/2) (z/sqrt(2))^m e^(-|z|^2/4),
+    the coherent overlap at z/sqrt(2) over sqrt(2 pi)."""
+    return lll_overlap(m, complex(z_plus) / math.sqrt(2.0)) / math.sqrt(2.0 * math.pi)
 
 
 def lll_overlap(m: int, z_tilde: complex) -> complex:
-    """Coherent overlap form: e^(-|z|^2/2) z^m / sqrt(m!)."""
+    """Coherent overlap form <m|z> = e^(-|z|^2/2) z^m / sqrt(m!), read off
+    column 0 of D(z) (a Fock space has at least two levels)."""
     if m < 0:
         raise ValueError("angular index must be nonnegative")
-    return math.exp(-abs(z_tilde) ** 2 / 2.0 - 0.5 * gammaln(m + 1)) * complex(z_tilde) ** m
+    return complex(displacement_stack(FockSpace(m + 2), z_tilde)[0, m, 0])
 
 
 def lll_projector(space: FockSpace) -> SuperOp:
@@ -418,19 +411,13 @@ def uncertainty_report(p: LandauParams, state: Operator) -> dict:
 # -- coherent-state completeness on the quantum space ---------------------
 
 
-def _coherent_vectors(space: FockSpace, zs: np.ndarray) -> np.ndarray:
-    """Rows <n|z> = e^(-|z|^2/2) z^n / sqrt(n!); nodes are never zero."""
-    n = np.arange(space.dim)
-    scale = np.exp(-0.5 * gammaln(n + 1))
-    return (zs[:, None] ** n[None, :]) * scale[None, :] * np.exp(-np.abs(zs) ** 2 / 2.0)[:, None]
-
-
 def classical_frame(space: FockSpace, scheme: QuadratureScheme) -> np.ndarray:
     """(1/2 pi) integral |z><z| dx dy over normalized coherent vectors of
-    the configuration space; the identity up to truncation tails."""
-    coh = _coherent_vectors(space, scheme.z_nodes)
-    w = scheme.weights / (2.0 * math.pi)
-    return (coh.T * w) @ coh.conj()
+    the configuration space; the identity up to truncation tails.
+
+    <n|z> is column 0 of D(z), so the frame is the ring Gram of the
+    radial columns: real, and nonzero only where n = m (mod A)."""
+    return scheme._ring_gram(scheme._radial_stack(space)[:, :, :1])
 
 
 def sector_resolution_operator(space: FockSpace, scheme: QuadratureScheme) -> np.ndarray:
@@ -439,9 +426,10 @@ def sector_resolution_operator(space: FockSpace, scheme: QuadratureScheme) -> np
     The completeness of the sector coherent family holds in the
     Gaussian-smeared (off-diagonal) form: its endpoint is the sandwich
     of the classical frame operator, X -> P X P with
-    P = (1/2 pi) int |z><z| dx dy; dense form kron(P, conj(P))."""
+    P = (1/2 pi) int |z><z| dx dy; dense form kron(P, conj(P)) = kron(P, P),
+    P being real."""
     p = classical_frame(space, scheme)
-    return np.kron(p, p.conj())
+    return np.kron(p, p)
 
 
 def tensor_resolution_residual(space: FockSpace, scheme: QuadratureScheme, max_level: int | None = None) -> float:
@@ -454,24 +442,23 @@ def tensor_resolution_residual(space: FockSpace, scheme: QuadratureScheme, max_l
     if max_level is None:
         max_level = space.dim // 4
     n = space.dim
-    sector = sector_resolution_operator(space, scheme)
-    eye = np.eye(n * n)
     cols = block_indices(space, max_level)
-    diff = (sector - eye)[:, cols]
-    r = float(np.linalg.norm(diff, 2))
+    # only the block columns of the sector operator and of the identity
+    # enter; the columns of a kron are the krons of the columns
+    sector = sector_resolution_operator(space, scheme)[:, cols]
+    eye = (np.arange(n * n)[:, None] == cols[None, :]).astype(float)
     if n**4 <= 4096:
-        total = np.kron(sector, sector)
-        eye4 = np.eye(n**4)
-        cols4 = (cols[:, None] * (n * n) + cols[None, :]).ravel()
-        return float(np.linalg.norm((total - eye4)[:, cols4], 2))
+        return float(np.linalg.norm(np.kron(sector, sector) - np.kron(eye, eye), 2))
+    r = float(np.linalg.norm(sector - eye, 2))
     return r * (1.0 + r) + r
 
 
 def diagonal_cs_channel(space: FockSpace, scheme: QuadratureScheme) -> np.ndarray:
     """Frame operator of the diagonal coherent family |z><z| viewed as
     vectors of the quantum space: a Husimi-smoothing channel, not the
-    identity (its |0><0| diagonal element is 1/2)."""
-    coh = _coherent_vectors(space, scheme.z_nodes)
-    vecs = np.einsum("kn,km->knm", coh, coh.conj()).reshape(len(scheme.z_nodes), -1)
-    w = scheme.weights / (2.0 * math.pi)
-    return (vecs.T * w) @ vecs.conj()
+    identity (its |0><0| diagonal element is 1/2).
+
+    |z><z| has entries <n|z> conj(<m|z>) of charge n - m, so the channel
+    is the ring Gram of the radial outer products: real."""
+    c = scheme._radial_stack(space)[:, :, 0]
+    return scheme._ring_gram(c[:, :, None] * c[:, None, :])

@@ -175,6 +175,15 @@ def test_resolution_reports_defect_honestly(tmp_path):
     assert float(rows["resolv_residual"]["value"]) <= 1e-5
 
 
+def test_resolution_exact_tensor_branch_at_n8(tmp_path):
+    # N = 8 is the largest space whose two-sector residual is computed
+    # exactly (N^4 = 4096) rather than by the triangle bound
+    code, raw = _run(tmp_path, ["resolution", "--N", "8"])
+    assert code == 1  # the unweighted identity rows stay red
+    rows = {r["name"]: r for r in _rows(raw) if r["kind"] == "row"}
+    assert float(rows["resolv_residual"]["value"]) <= 1e-5
+
+
 def test_invalid_config(tmp_path, capsys):
     code = cli.main(["spectrum", "--N", "2", "--out", str(tmp_path / "x.csv")])
     assert code == 2

@@ -6,13 +6,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.special import gammaln
 
-from hsqm.fock import FockSpace
-from hsqm.hs_space import basis_element
+from hsqm.fock import FockSpace, displacement_stack
+from hsqm.hs_space import basis_element, block_indices
 from hsqm.landau import (
     LandauParams,
     apply_chiral_ladder,
     apply_hamiltonian,
     chiral_frequencies,
+    classical_frame,
     diagonal_cs_channel,
     husimi,
     husimi_trace_residual,
@@ -22,6 +23,7 @@ from hsqm.landau import (
     partition,
     project_hol,
     reproducing_kernel,
+    sector_resolution_operator,
     spectrum,
     tensor_basis_state,
     tensor_cs,
@@ -29,6 +31,7 @@ from hsqm.landau import (
     uncertainty_report,
 )
 from hsqm.quadrature import QuadratureScheme
+from hsqm.thermal import safe_radius
 
 DEFAULT = LandauParams(mass=1.0, omega0=1.0, omega_c=2.0, theta=0.1)
 
@@ -133,16 +136,23 @@ def test_tensor_cs_vacuum_and_norm():
         tensor_cs(sp, 2.0, 0.0)
 
 
-def test_tensor_cs_factorizes():
-    sp = FockSpace(8)
-    zp, zm = 0.5 - 0.2j, 0.3j
-    cs = tensor_cs(sp, zp, zm)
-    n = np.arange(8)
-    up = zp**n / np.sqrt(np.exp(gammaln(n + 1)))
-    um = zm**n / np.sqrt(np.exp(gammaln(n + 1)))
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from((2, 4, 6, 8, 12, 16, 24)),
+    st.floats(0.0, 0.999), st.floats(0.0, 2 * math.pi), st.floats(0.0, 0.999), st.floats(0.0, 2 * math.pi),
+)
+def test_tensor_cs_factorizes(n, rp, ap, rm, am):
+    # per-sector power series z^n conj(z)^m / sqrt(n! m!) times the double
+    # Gaussian, at labels anywhere inside the safe disc
+    sp = FockSpace(n)
+    bound = safe_radius(sp)
+    zp, zm = bound * rp * complex(math.cos(ap), math.sin(ap)), bound * rm * complex(math.cos(am), math.sin(am))
+    k = np.arange(n)
+    up = zp**k / np.sqrt(np.exp(gammaln(k + 1)))
+    um = zm**k / np.sqrt(np.exp(gammaln(k + 1)))
     pref = math.exp(-(abs(zp) ** 2 + abs(zm) ** 2))
     expect = pref * np.einsum("n,m,a,b->nmab", up, up.conj(), um, um.conj())
-    assert np.max(np.abs(cs.coeffs - expect)) <= 1e-14
+    assert np.max(np.abs(tensor_cs(sp, zp, zm).coeffs - expect)) <= 1e-14
 
 
 def test_vacuum_built_from_raising():
@@ -261,21 +271,41 @@ def test_husimi_trace_residual():
     assert husimi_trace_residual(other, 0.7, scheme) <= 1e-10
 
 
+def _husimi_trace_residual_on_grid(p, beta, scheme):
+    """The trace residual summed over every (ring, angle) node."""
+    freq = chiral_frequencies(p)
+    s = (-math.expm1(-beta * p.hbar * freq.Omega_plus), -math.expm1(-beta * p.hbar * freq.Omega_minus))
+    t, w, m = scheme.radial_nodes, scheme.radial_weights, scheme.angular_count
+    phases = np.exp(2j * np.pi * np.arange(m) / m)
+    sector_vals = []
+    for which, scale in enumerate(s):
+        zs = np.sqrt(t / scale)[:, None] * phases[None, :]
+        pair = (zs, 0.0) if which == 0 else (0.0, zs)
+        vals = husimi(p, beta, *pair) / s[1 - which]
+        weights = (np.exp(np.log(w) + t) / (scale * m))[:, None]
+        sector_vals.append(float(np.sum(weights * vals)))
+    return abs(sector_vals[0] * sector_vals[1] - 1.0)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     st.floats(0.5, 2.0), st.floats(0.5, 2.0), st.floats(0.5, 2.5), st.floats(0.02, 0.5), st.floats(0.5, 1.5),
-    st.floats(0.2, 3.0), st.sampled_from((8, 16, 24, 32)),
+    st.floats(0.2, 3.0), st.sampled_from((8, 12, 16, 20, 24, 28, 32)),
 )
 def test_husimi_trace_residual_generated_params(mass, omega0, omega_c, theta, hbar, beta, n):
     # the region the benchmark draws husimi tasks from: both chiral
-    # frequencies positive
+    # frequencies positive; one evaluation per ring matches the sum over
+    # every node of the rings
     p = LandauParams(mass=mass, omega0=omega0, omega_c=omega_c, theta=theta, hbar=hbar)
     try:
         freq = chiral_frequencies(p)
     except ValueError:
         assume(False)
     assume(freq.Omega_plus > 0 and freq.Omega_minus > 0)
-    assert husimi_trace_residual(p, beta, QuadratureScheme.default(n)) <= 1e-10
+    scheme = QuadratureScheme.default(n)
+    residual = husimi_trace_residual(p, beta, scheme)
+    assert residual <= 1e-10
+    assert abs(residual - _husimi_trace_residual_on_grid(p, beta, scheme)) <= 1e-15
 
 
 def test_lll_state_values():
@@ -382,3 +412,65 @@ def test_diagonal_cs_channel_is_not_identity():
     assert chan[idx10, idx10].real == pytest.approx(0.25, abs=1e-12)
     idx11 = 1 * 6 + 1
     assert chan[idx11, idx11].real == pytest.approx(2.0 / 8.0, abs=1e-12)
+
+
+# -- polar path against brute force ------------------------------------------
+#
+# The frames are built from R radial columns and the mod-A charge rule;
+# the references below are the direct K = R*A node sums.  Aliased schemes
+# (A < 2N - 1) exercise charges that differ by A.
+
+
+def _frame_cases():
+    for n in (4, 6, 8):
+        yield n, 2 * n, 4 * n + 1
+        for count in (3, 4, 5, 8):
+            if count < 2 * n - 1:
+                yield n, 2 * n, count
+
+
+FRAME_CASES = list(_frame_cases())
+
+
+def _node_vectors(sp, scheme):
+    """Rows <n|z_k> over every node, and the node weights / 2 pi."""
+    return displacement_stack(sp, scheme.z_nodes)[:, :, 0], scheme.weights / (2 * math.pi)
+
+
+@pytest.mark.parametrize("n, radial, angular", FRAME_CASES)
+def test_classical_and_sector_frames_match_node_sum(n, radial, angular):
+    sp = FockSpace(n)
+    scheme = QuadratureScheme(radial, angular)
+    coh, w = _node_vectors(sp, scheme)
+    reference = (coh.T * w) @ coh.conj()
+    frame = classical_frame(sp, scheme)
+    assert np.isrealobj(frame)
+    assert np.max(np.abs(frame - reference)) <= 1e-13
+    sector = sector_resolution_operator(sp, scheme)
+    assert np.isrealobj(sector)
+    assert np.max(np.abs(sector - np.kron(reference, reference.conj()))) <= 1e-13
+
+
+@pytest.mark.parametrize("n, radial, angular", FRAME_CASES)
+def test_diagonal_cs_channel_matches_node_sum(n, radial, angular):
+    sp = FockSpace(n)
+    scheme = QuadratureScheme(radial, angular)
+    coh, w = _node_vectors(sp, scheme)
+    vecs = np.einsum("kn,km->knm", coh, coh.conj()).reshape(len(w), n * n)
+    reference = (vecs.T * w) @ vecs.conj()
+    chan = diagonal_cs_channel(sp, scheme)
+    assert np.isrealobj(chan)
+    assert np.max(np.abs(chan - reference)) <= 1e-13
+
+
+@pytest.mark.parametrize("n, max_level", [(4, None), (5, None), (6, None), (7, None), (6, 2), (7, 3)])
+def test_tensor_resolution_residual_matches_full_kron(n, max_level):
+    # below N^4 = 4096 the residual is exact; slicing the block columns
+    # before the kron must not move a bit
+    sp = FockSpace(n)
+    scheme = QuadratureScheme.default(n)
+    sector = sector_resolution_operator(sp, scheme)
+    cols = block_indices(sp, n // 4 if max_level is None else max_level)
+    cols4 = (cols[:, None] * (n * n) + cols[None, :]).ravel()
+    reference = float(np.linalg.norm((np.kron(sector, sector) - np.eye(n**4))[:, cols4], 2))
+    assert tensor_resolution_residual(sp, scheme, max_level) == reference
