@@ -3,7 +3,10 @@
 Every subcommand emits one flat table (CSV or JSON) and appends the
 residual contracts it checked as extra rows; the exit status is 0 only
 if every checked contract holds (1 otherwise, 2 for an invalid
-configuration).  Output is deterministic byte-for-byte for a fixed
+configuration).  A subcommand returns its rows as blocks of equal-length
+columns, ``{column: list}``, and its contracts as ``(name, value,
+threshold, ok)`` tuples; a ``None`` cell is absent (empty in CSV, no key
+in JSON).  Output is deterministic byte-for-byte for a fixed
 configuration: fixed seeds, fixed summation orders, no timestamps.
 """
 
@@ -25,6 +28,7 @@ from .hs_space import basis_element, hs_norm, vee
 from .quadrature import QuadratureScheme
 
 _SEED = 20240801
+_CONTRACT_COLUMNS = ("name", "value", "threshold", "ok")
 
 
 # -- configuration ---------------------------------------------------------
@@ -39,84 +43,75 @@ def _landau_params(args) -> landau.LandauParams:
 def _scheme(args, n_levels: int) -> QuadratureScheme:
     radial = args.radial_nodes if args.radial_nodes is not None else 2 * n_levels
     angular = args.angular_nodes if args.angular_nodes is not None else 4 * n_levels + 1
-    if not args.allow_small and (radial < 2 * n_levels or angular < 2 * n_levels + 1):
+    scheme = QuadratureScheme(radial, angular)
+    if not (args.allow_small or scheme.adequate_for(n_levels)):
         raise ValueError(
             f"quadrature sizes below defaults for N={n_levels}; pass --allow-small to override"
         )
-    return QuadratureScheme(radial, angular)
+    return scheme
 
 
 def _check(contracts, name, value, threshold):
-    contracts.append(
-        {"kind": "contract", "name": name, "value": float(value), "threshold": threshold, "ok": bool(value <= threshold)}
-    )
+    contracts.append((name, float(value), threshold, bool(value <= threshold)))
 
 
 def _check_equal(contracts, name, value, expected):
-    contracts.append(
-        {"kind": "contract", "name": name, "value": value, "threshold": expected, "ok": bool(value == expected)}
-    )
+    contracts.append((name, value, expected, bool(value == expected)))
+
+
+def _named_checks(checks):
+    """The name/value block of (name, value, threshold) triples, each
+    also checked as a contract."""
+    contracts = []
+    for name, value, threshold in checks:
+        _check(contracts, name, value, threshold)
+    return {"name": [c[0] for c in contracts], "value": [c[1] for c in contracts]}, contracts
 
 
 # -- subcommands -----------------------------------------------------------
 
 
 def _cmd_spectrum(args):
-    params = _landau_params(args)
-    table = landau.spectrum(params, 8)
-    rows = [
-        {"kind": "row", "n_plus": i, "n_minus": j, "energy": float(table[i, j])}
-        for i in range(table.shape[0])
-        for j in range(table.shape[1])
-    ]
-    return rows, []
+    table = landau.spectrum(_landau_params(args), 8)
+    n_plus, n_minus = (i.ravel().tolist() for i in np.indices(table.shape))
+    return [{"n_plus": n_plus, "n_minus": n_minus, "energy": table.ravel().tolist()}], []
 
 
 def _cmd_husimi(args):
     params = _landau_params(args)
     grid = np.linspace(-4.0, 4.0, 41)
-    q = landau.husimi(params, args.beta, grid[:, None] + 1j * grid[None, :], 0.0).tolist()
-    grid = grid.tolist()
-    rows = [
-        {"kind": "row", "x": x, "y": y, "q": q[i][j]}
-        for i, x in enumerate(grid)
-        for j, y in enumerate(grid)
-    ]
+    x, y = np.meshgrid(grid, grid, indexing="ij")
+    q = landau.husimi(params, args.beta, x + 1j * y, 0.0).ravel().tolist()
     contracts = []
     scheme = _scheme(args, args.N)
     _check(contracts, "husimi_trace_residual", landau.husimi_trace_residual(params, args.beta, scheme), 1e-10)
-    _check(contracts, "husimi_negativity", max(0.0, -min(r["q"] for r in rows)), 0.0)
-    return rows, contracts
+    _check(contracts, "husimi_negativity", max(0.0, -min(q)), 0.0)
+    return [{"x": x.ravel().tolist(), "y": y.ravel().tolist(), "q": q}], contracts
 
 
 def _cmd_resolution(args):
     space = FockSpace(args.N)
     spec = ThermalSpec(args.omega, args.beta)
     scheme = _scheme(args, args.N)
-    rows = []
-    contracts = []
+    checks = []
     for mirrored, tag in ((False, "hiho"), (True, "xaxa")):
         ident = thermal.resolution_residual(space, spec, scheme, mirrored=mirrored)
         frame = thermal.frame_operator_residual(space, spec, scheme, mirrored=mirrored)
-        rows.append({"kind": "row", "name": f"{tag}_identity_residual", "value": ident})
-        rows.append({"kind": "row", "name": f"{tag}_frame_residual", "value": frame})
         # identity-form contract: not attainable (the family resolves the
         # Gibbs-weighted frame operator); reported honestly, see README
-        _check(contracts, f"{tag}_identity_residual", ident, 1e-5)
-        _check(contracts, f"{tag}_frame_residual", frame, 1e-5)
-    resolv = landau.tensor_resolution_residual(space, scheme)
-    rows.append({"kind": "row", "name": "resolv_residual", "value": resolv})
-    _check(contracts, "resolv_residual", resolv, 1e-5)
-    return rows, contracts
+        checks += [(f"{tag}_identity_residual", ident, 1e-5), (f"{tag}_frame_residual", frame, 1e-5)]
+    checks.append(("resolv_residual", landau.tensor_resolution_residual(space, scheme), 1e-5))
+    block, contracts = _named_checks(checks)
+    return [block], contracts
 
 
 def _cmd_kms(args):
     space = FockSpace(args.N)
     md = modular.ModularData.from_thermal(space, ThermalSpec(args.omega, args.beta))
     rng = np.random.default_rng(_SEED)
-    rows = []
-    worst = 0.0
-    for pair in range(20):
+    times = (-1.0, -0.5, 0.0, 0.5, 1.0)
+    residuals = []
+    for _ in range(20):
         a = rng.standard_normal((args.N, args.N)) + 1j * rng.standard_normal((args.N, args.N))
         b = rng.standard_normal((args.N, args.N)) + 1j * rng.standard_normal((args.N, args.N))
         a = (a + a.conj().T) / 2.0
@@ -125,13 +120,11 @@ def _cmd_kms(args):
         b /= np.linalg.norm(b, 2)
         op_a = Operator(space, a)
         op_b = Operator(space, b)
-        for t in (-1.0, -0.5, 0.0, 0.5, 1.0):
-            res = modular.kms_residual(md, op_a, op_b, t)
-            worst = max(worst, res)
-            rows.append({"kind": "row", "pair": pair, "t": t, "residual": res})
+        residuals += [modular.kms_residual(md, op_a, op_b, t) for t in times]
     contracts = []
-    _check(contracts, "kms_max_residual", worst, 1e-10)
-    return rows, contracts
+    _check(contracts, "kms_max_residual", max(0.0, *residuals), 1e-10)
+    pairs = np.repeat(np.arange(20), len(times)).tolist()
+    return [{"pair": pairs, "t": list(times) * 20, "residual": residuals}], contracts
 
 
 def _cmd_modular(args):
@@ -139,12 +132,7 @@ def _cmd_modular(args):
     spec = ThermalSpec(args.omega, args.beta)
     md = modular.ModularData.from_thermal(space, spec)
     rng = np.random.default_rng(_SEED)
-    rows = []
-    contracts = []
-
-    polar = modular.polar_check(md)
-    rows.append({"kind": "row", "name": "polar_residual", "value": polar})
-    _check(contracts, "polar_residual", polar, 1e-12)
+    checks = [("polar_residual", modular.polar_check(md), 1e-12)]
 
     # S(|j><i|)[i, j] = L[i, i] R[j, j] for the factors (L, R) of S; the
     # expected exp(-(j - i) omega beta / 2) keeps the libm digits of math.exp
@@ -154,8 +142,7 @@ def _cmd_modular(args):
     table = np.array([math.exp(-k * args.omega * args.beta / 2.0) for k in range(1 - n, n)])
     expect = table[np.arange(n)[None, :] - np.arange(n)[:, None] + n - 1]
     worst_rel = float(np.max(np.abs(got.real - expect) / expect + np.abs(got.imag) / expect))
-    rows.append({"kind": "row", "name": "tomita_factor_max_rel_err", "value": worst_rel})
-    _check(contracts, "tomita_factor_max_rel_err", worst_rel, 1e-13)
+    checks.append(("tomita_factor_max_rel_err", worst_rel, 1e-13))
 
     x = rng.standard_normal((args.N, args.N)) + 1j * rng.standard_normal((args.N, args.N))
     op_x = Operator(space, x / np.linalg.norm(x))
@@ -163,27 +150,24 @@ def _cmd_modular(args):
         modular.modular_flow(md, 0.3)(modular.modular_flow(md, 0.4)(op_x))
         - modular.modular_flow(md, 0.7)(op_x)
     )
-    rows.append({"kind": "row", "name": "flow_group_residual", "value": grp})
-    _check(contracts, "flow_group_residual", grp, 1e-12)
+    checks.append(("flow_group_residual", grp, 1e-12))
 
     inv = abs(
         modular.state_eval(md, modular.modular_flow(md, 0.6)(op_x)) - modular.state_eval(md, op_x)
     )
-    rows.append({"kind": "row", "name": "state_invariance_residual", "value": inv})
-    _check(contracts, "state_invariance_residual", inv, 1e-12)
+    checks.append(("state_invariance_residual", inv, 1e-12))
 
     for z in (0.25, 0.5j, 0.3 + 0.4j):
-        refl = thermal.s_beta_reflection(space, spec, z)
-        rows.append({"kind": "row", "name": f"reflection_residual_z={z}", "value": refl})
-        _check(contracts, f"reflection_residual_z={z}", refl, 1e-9)
-    return rows, contracts
+        checks.append((f"reflection_residual_z={z}", thermal.s_beta_reflection(space, spec, z), 1e-9))
+    block, contracts = _named_checks(checks)
+    return [block], contracts
 
 
 def _cmd_commutant(args):
     if args.N > 5:
         raise ValueError("commutant analysis is limited to N <= 5 (ambient dimension N^4)")
     space = FockSpace(args.N)
-    rows = []
+    block = {"algebra": [], "span_dim": [], "commutant_dim": [], "double_commutant_dim": [], "factor": []}
     contracts = []
     gens = {
         "left": [vee(annihilation(space), identity(space)), vee(creation(space), identity(space))],
@@ -199,17 +183,10 @@ def _cmd_commutant(args):
         spans[name] = alg
         comm = commutants[name] = vn.commutant_basis(alg)
         double = vn.commutant_basis(comm)
-        factor = vn.is_factor(alg)
-        rows.append(
-            {
-                "kind": "row",
-                "algebra": name,
-                "span_dim": alg.size,
-                "commutant_dim": comm.size,
-                "double_commutant_dim": double.size,
-                "factor": factor,
-            }
-        )
+        # is_factor's definition, on the commutant already in hand
+        factor = vn.intersection_dimension(alg, comm) == 1
+        for column, value in zip(block, (name, alg.size, comm.size, double.size, factor)):
+            block[column].append(value)
         _check_equal(contracts, f"{name}_span_dim", alg.size, args.N**2)
         _check_equal(contracts, f"{name}_commutant_dim", comm.size, args.N**2)
         _check_equal(contracts, f"{name}_double_commutant_dim", double.size, alg.size)
@@ -220,82 +197,64 @@ def _cmd_commutant(args):
         all(vn.span_contains(spans["right"], m) for m in commutants["left"].basis),
         True,
     )
-    return rows, contracts
+    return [block], contracts
 
 
 def _cmd_wigner(args):
     space = FockSpace(args.N)
     scheme = _scheme(args, args.N)
-    rows = []
-    contracts = []
 
-    f00 = wigner.wigner_function(basis_element(space, 0, 0))
     grid = np.linspace(-3.0, 3.0, 21)
-    for x in grid:
-        vals = f00(np.full_like(grid, x), grid)
-        for j, y in enumerate(grid):
-            rows.append(
-                {
-                    "kind": "row",
-                    "x": float(x),
-                    "y": float(y),
-                    "re_f": float(vals[j].real),
-                    "im_f": float(vals[j].imag),
-                }
-            )
+    x, y = np.meshgrid(grid, grid, indexing="ij")
+    f00 = wigner.wigner_function(basis_element(space, 0, 0))(x, y).ravel()
+    grid_block = {
+        "x": x.ravel().tolist(), "y": y.ravel().tolist(), "re_f": f00.real.tolist(), "im_f": f00.imag.tolist()
+    }
 
-    half = args.N // 2
+    checks = []
     for n, l in ((0, 0), (1, 2)):
         x_op = basis_element(space, n, l)
         back = wigner.wigner_inverse(wigner.wigner_function(x_op), scheme, space)
-        res = hs_norm(back - x_op)
-        rows.append({"kind": "row", "name": f"roundtrip_residual_{n}{l}", "value": res})
-        _check(contracts, f"roundtrip_residual_{n}{l}", res, 1e-6)
+        checks.append((f"roundtrip_residual_{n}{l}", hs_norm(back - x_op), 1e-6))
 
     # Gram matrix of the W-images of |n><l|, n, l < N/2, row-major
+    half = args.N // 2
     gram = scheme._ring_gram(scheme._radial_stack(space)[:, :half, :half])
-    gram_dev = float(np.max(np.abs(gram - np.eye(half * half))))
-    rows.append({"kind": "row", "name": "unitarity_gram_max_dev", "value": gram_dev})
-    _check(contracts, "unitarity_gram_max_dev", gram_dev, 1e-6)
-    return rows, contracts
+    checks.append(("unitarity_gram_max_dev", float(np.max(np.abs(gram - np.eye(half * half)))), 1e-6))
+    block, contracts = _named_checks(checks)
+    return [grid_block, block], contracts
 
 
 def _cmd_kernel(args):
     space = FockSpace(args.N)
     scheme = _scheme(args, args.N)
     rng = np.random.default_rng(_SEED)
-    rows = []
-    contracts = []
-    worst = 0.0
-    for _ in range(20):
-        z, zp = (rng.uniform(-1, 1, 2) + 1j * rng.uniform(-1, 1, 2))
+    # per pair: real parts of (z, z'), then imaginary parts
+    draws = rng.uniform(-1, 1, (20, 2, 2))
+    points = draws[:, 0] + 1j * draws[:, 1]
+    kernel = []
+    errs = []
+    for z, zp in points:
         got = landau.reproducing_kernel(space, z, zp)
-        expect = np.exp(z * np.conj(zp))
-        err = abs(got - expect)
-        worst = max(worst, err)
-        rows.append(
-            {
-                "kind": "row",
-                "re_z": float(z.real),
-                "im_z": float(z.imag),
-                "re_zp": float(zp.real),
-                "im_zp": float(zp.imag),
-                "re_K": float(got.real),
-                "im_K": float(got.imag),
-                "abs_err": float(err),
-            }
-        )
-    _check(contracts, "kernel_max_abs_err", worst, 1e-12)
+        kernel.append(complex(got))
+        errs.append(float(abs(got - np.exp(z * np.conj(zp)))))
+    contracts = []
+    _check(contracts, "kernel_max_abs_err", max(0.0, *errs), 1e-12)
+    kernel_block = {
+        "re_z": points[:, 0].real.tolist(),
+        "im_z": points[:, 0].imag.tolist(),
+        "re_zp": points[:, 1].real.tolist(),
+        "im_zp": points[:, 1].imag.tolist(),
+        "re_K": [k.real for k in kernel],
+        "im_K": [k.imag for k in kernel],
+        "abs_err": errs,
+    }
 
-    worst_mono = 0.0
     z0 = 0.7 - 0.3j
-    for k in range(11):
-        got = landau.project_hol(lambda w, k=k: w**k, scheme, z0)
-        err = abs(got - z0**k)
-        worst_mono = max(worst_mono, err)
-        rows.append({"kind": "row", "name": f"monomial_degree_{k}_err", "value": float(err)})
-    _check(contracts, "project_hol_max_err", worst_mono, 1e-8)
-    return rows, contracts
+    mono = [float(abs(landau.project_hol(lambda w, k=k: w**k, scheme, z0) - z0**k)) for k in range(11)]
+    _check(contracts, "project_hol_max_err", max(0.0, *mono), 1e-8)
+    mono_block = {"name": [f"monomial_degree_{k}_err" for k in range(11)], "value": mono}
+    return [kernel_block, mono_block], contracts
 
 
 def _cmd_uncertainty(args):
@@ -312,15 +271,13 @@ def _cmd_uncertainty(args):
         "product_Y_PY": params.hbar / math.sqrt(2.0),
         "product_PX_PY": params.hbar**2 / params.theta,
     }
-    rows = []
+    names = sorted(report)
     contracts = []
-    for key in sorted(report):
-        row = {"kind": "row", "name": key, "value": report[key]}
+    for key in names:
         if key in expected:
-            row["expected"] = expected[key]
             _check(contracts, f"{key}_abs_err", abs(report[key] - expected[key]), 1e-12)
-        rows.append(row)
-    return rows, contracts
+    values = [float(report[k]) for k in names]
+    return [{"name": names, "value": values, "expected": [expected.get(k) for k in names]}], contracts
 
 
 _COMMANDS = {
@@ -349,26 +306,35 @@ def _format_cell(value) -> str:
     return str(value)
 
 
-def _write_csv(rows, out):
-    headers: list[str] = []
-    for row in rows:
-        for key in row:
-            if key not in headers:
-                headers.append(key)
-    lines = [",".join(headers)]
-    for row in rows:
-        lines.append(",".join(_format_cell(row.get(h)) for h in headers))
+def _format_column(values) -> list[str]:
+    if all(type(v) is float for v in values):
+        return [format(v, ".17g") for v in values]
+    return [_format_cell(v) for v in values]
+
+
+def _tagged_blocks(blocks, contracts):
+    """(kind, block) pairs: the row blocks, then the contracts as one block."""
+    contract_block = dict(zip(_CONTRACT_COLUMNS, map(list, zip(*contracts))))
+    return [("row", block) for block in blocks] + [("contract", contract_block)]
+
+
+def _write_csv(blocks, contracts, out):
+    tagged = _tagged_blocks(blocks, contracts)
+    headers = list(dict.fromkeys(column for _, block in tagged for column in block))
+    lines = [",".join(["kind", *headers])]
+    for kind, block in tagged:
+        count = len(next(iter(block.values()), ()))
+        cells = [_format_column(block[h]) if h in block else [""] * count for h in headers]
+        lines += map(",".join, zip([kind] * count, *cells))
     out.write("\n".join(lines) + "\n")
 
 
-def _write_json(command, config, rows, contracts, ok, out):
-    doc = {
-        "command": command,
-        "config": config,
-        "rows": [r for r in rows if r.get("kind") == "row"],
-        "contracts": contracts,
-        "ok": ok,
-    }
+def _write_json(command, config, blocks, contracts, ok, out):
+    records = {"row": [], "contract": []}
+    for kind, block in _tagged_blocks(blocks, contracts):
+        for cells in zip(*block.values()):
+            records[kind].append({"kind": kind, **{k: v for k, v in zip(block, cells) if v is not None}})
+    doc = dict(command=command, config=config, rows=records["row"], contracts=records["contract"], ok=ok)
     out.write(json.dumps(doc, sort_keys=True, default=_format_cell) + "\n")
 
 
@@ -405,18 +371,18 @@ def main(argv=None) -> int:
     try:
         if args.N < 4:
             raise ValueError("truncation N must be at least 4")
-        rows, contracts = _COMMANDS[args.command](args)
-    except ValueError as exc:
+        blocks, contracts = _COMMANDS[args.command](args)
+        out = open(args.out, "w") if args.out else sys.stdout
+    except (ValueError, OSError) as exc:
         sys.stderr.write(json.dumps({"error": str(exc), "command": args.command}) + "\n")
         return 2
 
-    ok = all(c["ok"] for c in contracts)
-    out = open(args.out, "w") if args.out else sys.stdout
+    ok = all(c[3] for c in contracts)
     try:
         if args.format == "csv":
-            _write_csv(rows + contracts, out)
+            _write_csv(blocks, contracts, out)
         else:
-            _write_json(args.command, config, rows, contracts, ok, out)
+            _write_json(args.command, config, blocks, contracts, ok, out)
     finally:
         if args.out:
             out.close()

@@ -26,7 +26,7 @@ not over the K = R * A nodes; the frames come out real.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -74,6 +74,9 @@ class LandauParams:
     hbar: float = 1.0
 
     def __post_init__(self):
+        for field in fields(self):
+            if not math.isfinite(getattr(self, field.name)):
+                raise ValueError(f"{field.name} must be finite")
         if not (self.mass > 0):
             raise ValueError("mass must be positive")
         if self.omega0 < 0:
@@ -114,7 +117,7 @@ def chiral_frequencies(p: LandauParams) -> ChiralFrequencies:
     omega_sq = p.omega0**2 + p.omega_c**2 / 4.0
     omega = math.sqrt(omega_sq)
     disc = 1.0 - p.mass * p.omega_c * p.theta / 2.0 + (p.mass * omega * p.theta / 4.0) ** 2
-    if disc <= 0:
+    if not disc > 0:
         raise ValueError(f"parameters outside model validity (discriminant {disc:.3e} <= 0)")
     zeta = ((p.mass * omega / p.hbar) ** 2 / disc) ** 0.25
     omega_tilde = omega * math.sqrt(disc)

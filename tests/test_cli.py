@@ -1,5 +1,7 @@
 import csv
+import io
 import json
+import math
 
 import pytest
 
@@ -211,3 +213,55 @@ def test_wigner_large_n(tmp_path):
     contracts = {r["name"]: float(r["value"]) for r in _rows(raw) if r["kind"] == "contract"}
     assert set(contracts) == {"roundtrip_residual_00", "roundtrip_residual_12", "unitarity_gram_max_dev"}
     assert max(contracts.values()) <= 1e-12
+
+
+@pytest.mark.parametrize("flag", ["--theta", "--omega-c"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_landau_parameter_is_invalid(flag, value, capsys):
+    assert cli.main(["spectrum", flag, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert "must be finite" in json.loads(line)["error"]
+
+
+def test_unwritable_out_is_invalid(tmp_path, capsys):
+    code = cli.main(["spectrum", "--out", str(tmp_path / "missing" / "x.csv")])
+    assert code == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    error = json.loads(line)
+    assert error["command"] == "spectrum" and "missing" in error["error"]
+    assert not (tmp_path / "missing").exists()
+
+
+def test_csv_writer_cells():
+    blocks = [
+        {"a": [-0.0, math.nan, math.inf, 1e-300], "b": [True, 3, None, 0.5]},
+        {"b": [False], "c": ["text"]},
+    ]
+    contracts = [("int", 3, 3, True), ("bool", True, True, True), ("float", 2.5, 1e-12, False)]
+    out = io.StringIO()
+    cli._write_csv(blocks, contracts, out)
+    assert out.getvalue() == (
+        "kind,a,b,c,name,value,threshold,ok\n"
+        "row,-0,true,,,,,\n"
+        "row,nan,3,,,,,\n"
+        "row,inf,,,,,,\n"
+        "row,1e-300,0.5,,,,,\n"
+        "row,,false,text,,,,\n"
+        "contract,,,,int,3,3,true\n"
+        "contract,,,,bool,true,true,true\n"
+        "contract,,,,float,2.5,9.9999999999999998e-13,false\n"
+    )
+
+
+def test_json_writer_omits_absent_cells():
+    blocks = [{"name": ["mean", "var"], "value": [0.0, 0.25], "expected": [None, 0.25]}]
+    out = io.StringIO()
+    cli._write_json("x", {}, blocks, [("var", 0.0, 1e-12, True)], True, out)
+    doc = json.loads(out.getvalue())
+    assert doc["rows"] == [
+        {"kind": "row", "name": "mean", "value": 0.0},
+        {"kind": "row", "name": "var", "value": 0.25, "expected": 0.25},
+    ]
+    assert doc["contracts"] == [{"kind": "contract", "name": "var", "value": 0.0, "threshold": 1e-12, "ok": True}]

@@ -45,6 +45,14 @@ def test_params_validation():
         LandauParams(mass=1.0, omega0=1.0, omega_c=2.0, theta=-0.5)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["mass", "omega0", "omega_c", "theta", "hbar"])
+def test_params_reject_non_finite(field, value):
+    kwargs = {"mass": 1.0, "omega0": 1.0, "omega_c": 2.0, "theta": 0.1, "hbar": 1.0, field: value}
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        LandauParams(**kwargs)
+
+
 def test_chiral_frequencies_flat_limit():
     f = chiral_frequencies(LandauParams(mass=1.0, omega0=0.0, omega_c=2.0, theta=0.0))
     assert f.Omega == pytest.approx(1.0)
@@ -67,6 +75,9 @@ def test_chiral_frequencies_invalid_regime():
     # discriminant 1 - theta + theta^2/16 is negative between its roots
     with pytest.raises(ValueError, match="discriminant"):
         chiral_frequencies(LandauParams(mass=1.0, omega0=0.0, omega_c=2.0, theta=2.0))
+    # finite inputs whose discriminant overflows to inf - inf = nan
+    with pytest.raises(ValueError, match="discriminant"):
+        chiral_frequencies(LandauParams(mass=1e300, omega0=0.0, omega_c=2.0, theta=1e300))
 
 
 def test_spectrum_closed_forms():
