@@ -45,8 +45,8 @@ print(f"  deviation from the identity (low block):    {ident:.6f}")
 print(f"  predicted max |lambda_b - 1| on the block:  {max(abs(lam[: N // 4 + 1] - 1)):.6f}")
 print(f"  deviation from kron(I, rho):                {frame:.2e}")
 
-dense = resolution_operator(space, spec, scheme).to_dense()
+dense = resolution_operator(space, spec, scheme)
 print("\n  diagonal elements of the assembled operator vs Gibbs weights:")
 for b in range(4):
     idx = 0 * N + b
-    print(f"    |0><{b}|: {dense[idx, idx].real:.6f}   lambda_{b} = {lam[b]:.6f}")
+    print(f"    |0><{b}|: {dense[idx, idx]:.6f}   lambda_{b} = {lam[b]:.6f}")

@@ -8,7 +8,10 @@ Vectorization is row-major throughout the package: the rank-one basis
 element |n><l| maps to the unit coordinate at index n*N + l.
 
 The workhorse is the sandwich superoperator A ∨ B : X -> A X B†, which
-bridges the left and right multiplication algebras.
+bridges the left and right multiplication algebras.  A :class:`SuperOp`
+is a sum of such sandwiches; its dense form, and every dense
+superoperator of the package, is a plain N^2 x N^2 array acting on
+row-major vectorized X.
 """
 
 from __future__ import annotations
@@ -68,82 +71,39 @@ def block_indices(space: FockSpace, max_level: int) -> np.ndarray:
 
 
 class SuperOp:
-    """Linear map on B2(H_N).
-
-    Two representations, converted explicitly:
-
-    * factored -- a list of (A, B) pairs meaning X -> sum_i A_i X B_i†;
-      exact and cheap, closed under composition and adjoints;
-    * dense -- an N^2 x N^2 matrix acting on row-major vectorized X;
-      needed for spectral work (commutants, frame operators).
+    """Linear map on B2(H_N) in factored form: a list of (A, B) pairs
+    meaning X -> sum_i A_i X B_i†, exact and closed under sums,
+    composition and adjoints.  Its dense form is the N^2 x N^2 array
+    :meth:`to_dense` returns, acting on row-major vectorized X.
     """
 
-    __slots__ = ("space", "pairs", "dense")
+    __slots__ = ("space", "pairs")
 
-    def __init__(self, space: FockSpace, pairs=None, dense=None):
-        if (pairs is None) == (dense is None):
-            raise ValueError("give exactly one of pairs/dense")
-        self.space = space
-        if pairs is not None:
-            n = space.dim
-            pairs = [
-                (np.ascontiguousarray(a, dtype=complex), np.ascontiguousarray(b, dtype=complex))
-                for a, b in pairs
-            ]
-            for a, b in pairs:
-                if a.shape != (n, n) or b.shape != (n, n):
-                    raise ValueError("factor pair has wrong shape")
-            self.pairs = pairs
-            self.dense = None
-        else:
-            d = space.dim**2
-            dense = np.ascontiguousarray(dense, dtype=complex)
-            if dense.shape != (d, d):
-                raise ValueError(f"dense superoperator must be {d}x{d}")
-            self.pairs = None
-            self.dense = dense
-
-    # -- constructors ------------------------------------------------
-
-    @classmethod
-    def identity(cls, space: FockSpace) -> "SuperOp":
-        eye = np.eye(space.dim)
-        return cls(space, pairs=[(eye, eye)])
-
-    @classmethod
-    def from_dense(cls, space: FockSpace, dense: np.ndarray) -> "SuperOp":
-        return cls(space, dense=dense)
-
-    @classmethod
-    def from_apply(cls, space: FockSpace, fn) -> "SuperOp":
-        """Dense matrix of an arbitrary linear map, by acting on the basis."""
+    def __init__(self, space: FockSpace, pairs):
         n = space.dim
-        cols = np.empty((n * n, n * n), dtype=complex)
-        for k in range(n * n):
-            e = np.zeros((n, n), dtype=complex)
-            e[divmod(k, n)] = 1.0
-            cols[:, k] = fn(Operator(space, e)).mat.ravel()
-        return cls(space, dense=cols)
+        self.space = space
+        self.pairs = [
+            (np.ascontiguousarray(a, dtype=complex), np.ascontiguousarray(b, dtype=complex))
+            for a, b in pairs
+        ]
+        for a, b in self.pairs:
+            if a.shape != (n, n) or b.shape != (n, n):
+                raise ValueError("factor pair has wrong shape")
 
     # -- action ------------------------------------------------------
 
     def __call__(self, x: Operator) -> Operator:
         if x.space != self.space:
             raise ValueError("operator lives on a different Fock space")
-        if self.pairs is not None:
-            out = np.zeros_like(x.mat)
-            for a, b in self.pairs:
-                out += a @ x.mat @ b.conj().T
-            return Operator(self.space, out)
-        n = self.space.dim
-        return Operator(self.space, (self.dense @ x.mat.ravel()).reshape(n, n))
+        out = np.zeros_like(x.mat)
+        for a, b in self.pairs:
+            out += a @ x.mat @ b.conj().T
+        return Operator(self.space, out)
 
     # -- algebra -----------------------------------------------------
 
     def to_dense(self) -> np.ndarray:
         """Row-major dense matrix; for A ∨ B this is kron(A, conj(B))."""
-        if self.dense is not None:
-            return self.dense
         d = self.space.dim**2
         out = np.zeros((d, d), dtype=complex)
         for a, b in self.pairs:
@@ -154,29 +114,22 @@ class SuperOp:
         """self after other."""
         if self.space != other.space:
             raise ValueError("superoperators live on different spaces")
-        if self.pairs is not None and other.pairs is not None:
-            prods = [(a1 @ a2, b1 @ b2) for a1, b1 in self.pairs for a2, b2 in other.pairs]
-            return SuperOp(self.space, pairs=prods)
-        return SuperOp(self.space, dense=self.to_dense() @ other.to_dense())
+        prods = [(a1 @ a2, b1 @ b2) for a1, b1 in self.pairs for a2, b2 in other.pairs]
+        return SuperOp(self.space, pairs=prods)
 
     __matmul__ = compose
 
     def adjoint(self) -> "SuperOp":
         """Adjoint w.r.t. the HS inner product; (A ∨ B)* = A† ∨ B†."""
-        if self.pairs is not None:
-            return SuperOp(self.space, pairs=[(a.conj().T, b.conj().T) for a, b in self.pairs])
-        return SuperOp(self.space, dense=self.dense.conj().T)
+        return SuperOp(self.space, pairs=[(a.conj().T, b.conj().T) for a, b in self.pairs])
 
     def __add__(self, other: "SuperOp") -> "SuperOp":
         if self.space != other.space:
             raise ValueError("superoperators live on different spaces")
-        if self.pairs is not None and other.pairs is not None:
-            return SuperOp(self.space, pairs=self.pairs + other.pairs)
-        return SuperOp(self.space, dense=self.to_dense() + other.to_dense())
+        return SuperOp(self.space, pairs=self.pairs + other.pairs)
 
     def __repr__(self) -> str:
-        kind = "factored" if self.pairs is not None else "dense"
-        return f"SuperOp(dim={self.space.dim}^2, {kind})"
+        return f"SuperOp(dim={self.space.dim}^2, pairs={len(self.pairs)})"
 
 
 def vee(a: Operator, b: Operator) -> SuperOp:

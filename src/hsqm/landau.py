@@ -112,17 +112,21 @@ def chiral_frequencies(p: LandauParams) -> ChiralFrequencies:
     positive for the ladder scale to be real.  omega_c_tilde is the
     first-order-in-theta dressing of the cyclotron frequency; for large
     theta it can push Omega_minus negative, which downstream operations
-    guard against rather than re-derive.
+    guard against rather than re-derive.  Parameters whose closed forms
+    overflow double precision raise ``ValueError`` too.
     """
-    omega_sq = p.omega0**2 + p.omega_c**2 / 4.0
-    omega = math.sqrt(omega_sq)
-    disc = 1.0 - p.mass * p.omega_c * p.theta / 2.0 + (p.mass * omega * p.theta / 4.0) ** 2
-    if not disc > 0:
-        raise ValueError(f"parameters outside model validity (discriminant {disc:.3e} <= 0)")
-    zeta = ((p.mass * omega / p.hbar) ** 2 / disc) ** 0.25
+    try:
+        omega_sq = p.omega0**2 + p.omega_c**2 / 4.0
+        omega = math.sqrt(omega_sq)
+        disc = 1.0 - p.mass * p.omega_c * p.theta / 2.0 + (p.mass * omega * p.theta / 4.0) ** 2
+        if not disc > 0:
+            raise ValueError(f"parameters outside model validity (discriminant {disc:.3e} <= 0)")
+        zeta = ((p.mass * omega / p.hbar) ** 2 / disc) ** 0.25
+    except OverflowError:
+        raise ValueError("parameters overflow double precision in the chiral frequencies") from None
     omega_tilde = omega * math.sqrt(disc)
     omega_c_tilde = p.omega_c * (1.0 - (p.omega_c / 4.0 + p.omega0**2 / p.omega_c) * p.mass * p.theta)
-    return ChiralFrequencies(
+    freq = ChiralFrequencies(
         Omega=omega,
         zeta=zeta,
         Omega_tilde=omega_tilde,
@@ -130,6 +134,9 @@ def chiral_frequencies(p: LandauParams) -> ChiralFrequencies:
         Omega_plus=omega_tilde + omega_c_tilde / 2.0,
         Omega_minus=omega_tilde - omega_c_tilde / 2.0,
     )
+    if not all(math.isfinite(getattr(freq, f.name)) for f in fields(freq)):
+        raise ValueError("parameters overflow double precision in the chiral frequencies")
+    return freq
 
 
 def spectrum(p: LandauParams, n_max: int) -> np.ndarray:
@@ -374,6 +381,9 @@ def uncertainty_report(p: LandauParams, state: Operator) -> dict:
     """
     if p.theta <= 0:
         raise ValueError("theta must be positive for the uncertainty table")
+    momentum = p.hbar * p.hbar / p.theta
+    if not (math.isfinite(momentum * momentum) and math.isfinite(p.theta * p.theta)):
+        raise ValueError("uncertainty products theta^2 or (hbar^2/theta)^2 overflow double precision")
     psi = state.mat / np.linalg.norm(state.mat)
     a = annihilation(state.space).mat
     adag = a.conj().T

@@ -82,7 +82,7 @@ class AntilinearMap:
 
     def after_linear(self, sup: SuperOp) -> "AntilinearMap":
         """self ∘ (A ∨ B): antilinear with factors (L B, A† R)."""
-        if sup.pairs is None or len(sup.pairs) != 1:
+        if len(sup.pairs) != 1:
             raise ValueError("composition implemented for single-pair superoperators")
         a, b = sup.pairs[0]
         return AntilinearMap(self.space, self.left @ b, a.conj().T @ self.right)
@@ -107,7 +107,8 @@ class ModularData:
     object is immutable afterwards.  Densities with an eigenvalue below
     1e-14 of the largest are rejected as non-faithful rather than
     regularized: the modular objects need rho invertible, and silently
-    flooring eigenvalues would mask modeling errors.
+    flooring eigenvalues would mask modeling errors.  A supplied
+    Hamiltonian must have rho as its Gibbs state at beta.
     """
 
     __slots__ = ("space", "rho", "beta", "hamiltonian", "_evals", "_evecs", "_ham_evals", "_ham_evecs")
@@ -143,6 +144,9 @@ class ModularData:
         self.hamiltonian = hamiltonian
 
         self._ham_evals, self._ham_evecs = _eig(hamiltonian.mat)
+        boltz = np.exp(-self.beta * self._ham_evals)
+        if np.linalg.norm(mat - _spectral(self._ham_evecs, boltz / boltz.sum())) > 1e-10:
+            raise ValueError("density is not the Gibbs state of the stored Hamiltonian")
 
     @classmethod
     def from_thermal(cls, space: FockSpace, spec: ThermalSpec) -> "ModularData":
@@ -232,15 +236,12 @@ def kms_residual(md: ModularData, a: Operator, b: Operator, t: float) -> float:
 
         Tr[rho A alpha_{t + i beta}(B)] = Tr[rho alpha_t(B) A]
 
-    exactly; the returned residual is the absolute difference of the two
-    traces.  Raises if the stored density and Hamiltonian disagree.
+    exactly (:class:`ModularData` checks the pairing once, at
+    construction); the returned residual is the absolute difference of
+    the two traces.
     """
     if a.space != md.space or b.space != md.space:
         raise ValueError("operators live on a different Fock space")
-    boltz = np.exp(-md.beta * md._ham_evals.astype(complex))
-    if np.linalg.norm(md.rho.mat - _spectral(md._ham_evecs, boltz / boltz.sum())) > 1e-10:
-        raise ValueError("density is not the Gibbs state of the stored Hamiltonian")
-
     rho = md.rho.mat
 
     def flow(mat: np.ndarray, z: complex) -> np.ndarray:

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock import FockSpace, Operator, ThermalSpec, displacement, gibbs_density
-from .hs_space import SuperOp, block_indices, hs_norm
+from .hs_space import block_indices, hs_norm
 from .modular import ModularData, tomita_s
 from .quadrature import QuadratureScheme
 
@@ -87,18 +87,20 @@ def thermal_cs(space: FockSpace, spec: ThermalSpec, z: complex) -> ThermalCS:
 
 def resolution_operator(
     space: FockSpace, spec: ThermalSpec, scheme: QuadratureScheme, mirrored: bool = False
-) -> SuperOp:
+) -> np.ndarray:
     """Quadrature assembly of (1/2pi) * integral |z><z| dx dy as a dense
-    superoperator on B2(H_N); ``mirrored`` uses the reflected family |-z>.
+    superoperator on B2(H_N): a real N^2 x N^2 array acting on row-major
+    vectorized X; ``mirrored`` uses the reflected family |-z>.
 
     Assembled from the R radial states D(sqrt(t_r)) Phi_beta, not the
     K = R * A node states: the angular sum keeps only entries whose
     charges m - n agree mod A, so the matrix is block-sparse by charge
-    (see :mod:`hsqm.quadrature`).
+    (see :mod:`hsqm.quadrature`).  The radial states are real, so the
+    assembled matrix is real too.
     """
     sqrt_lam = np.sqrt(np.diag(gibbs_density(space, spec).mat).real)
     states = scheme._radial_stack(space, mirrored) * sqrt_lam  # D(±sqrt(t_r)) @ diag(sqrt(lambda))
-    return SuperOp.from_dense(space, scheme._ring_gram(states))
+    return scheme._ring_gram(states)
 
 
 def _right_weight_deviation(
@@ -115,7 +117,7 @@ def _right_weight_deviation(
     if max_level is None:
         max_level = space.dim // 4
     cols = block_indices(space, max_level)
-    deviation = resolution_operator(space, spec, scheme, mirrored).to_dense()[:, cols]
+    deviation = resolution_operator(space, spec, scheme, mirrored)[:, cols]
     # the reference is diagonal: entry n*N + l carries weights[l]
     deviation[cols, np.arange(cols.size)] -= weights[cols % space.dim]
     return float(np.linalg.norm(deviation, 2))

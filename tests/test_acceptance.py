@@ -197,7 +197,7 @@ def test_c05a_thermal_cs_resolution_identity():
 
     rows = {}
     for name, mirrored in (("family", False), ("mirror", True)):
-        block = resolution_operator(sp, spec, scheme, mirrored).to_dense()[:, cols]
+        block = resolution_operator(sp, spec, scheme, mirrored)[:, cols]
         rows[name] = (
             block_norm(block / weight - eye),  # dual-frame identity
             block_norm(block - eye * weight),  # frame operator kron(I, rho_beta)

@@ -225,6 +225,27 @@ def test_non_finite_landau_parameter_is_invalid(flag, value, capsys):
     assert "must be finite" in json.loads(line)["error"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectrum", "--omega-c", "1e200"],
+        ["spectrum", "--omega0", "1e200"],
+        ["spectrum", "--hbar", "1e-300"],
+        ["husimi", "--omega-c", "1e200"],
+        ["uncertainty", "--hbar", "1e200"],
+        ["uncertainty", "--theta", "1e-300"],
+        ["uncertainty", "--theta", "1e200"],
+    ],
+)
+def test_overflowing_landau_parameter_is_invalid(argv, capsys):
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    error = json.loads(line)
+    assert error["command"] == argv[0] and "double precision" in error["error"]
+
+
 def test_unwritable_out_is_invalid(tmp_path, capsys):
     code = cli.main(["spectrum", "--out", str(tmp_path / "missing" / "x.csv")])
     assert code == 2

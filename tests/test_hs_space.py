@@ -105,15 +105,27 @@ def test_vee_identity_and_laws():
     assert hs_norm(composed - product) <= 1e-13 * hs_norm(product)
 
 
-def test_vee_dense_matches_pairs():
-    sp = FockSpace(3)
-    rng = np.random.default_rng(2)
-    a, b, x = _random_op(sp, rng), _random_op(sp, rng), _random_op(sp, rng)
-    sup = vee(a, b)
-    dense = SuperOp.from_dense(sp, sup.to_dense())
-    assert hs_norm(sup(x) - dense(x)) <= 1e-13 * hs_norm(sup(x))
-    rebuilt = SuperOp.from_apply(sp, sup)
-    assert np.allclose(rebuilt.to_dense(), sup.to_dense())
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 5))
+def test_dense_form_of_sums_products_and_adjoints(seed, n):
+    sp = FockSpace(n)
+    rng = np.random.default_rng(seed)
+    s1, s2, s3 = (vee(_random_op(sp, rng), _random_op(sp, rng)) for _ in range(3))
+    d1, d2, d3 = s1.to_dense(), s2.to_dense(), s3.to_dense()
+    cases = [
+        (s1 + s2, d1 + d2),
+        (s1.compose(s2), d1 @ d2),
+        ((s1 + s2) @ s3, (d1 + d2) @ d3),
+        ((s1 + s2).adjoint(), (d1 + d2).conj().T),
+        (s1.compose(s2).adjoint(), (d1 @ d2).conj().T),
+    ]
+    x = _random_op(sp, rng)
+    for sup, dense in cases:
+        got = sup.to_dense()
+        assert got.shape == (n * n, n * n)
+        assert np.max(np.abs(got - dense)) <= 1e-13 * np.max(np.abs(dense))
+        image = vectorize(sup(x))
+        assert np.max(np.abs(got @ vectorize(x) - image)) <= 1e-13 * np.max(np.abs(image))
 
 
 def test_left_right_actions_commute():
@@ -158,7 +170,5 @@ def test_superop_validation():
     sp = FockSpace(3)
     with pytest.raises(ValueError):
         SuperOp(sp, pairs=[(np.eye(2), np.eye(2))])
-    with pytest.raises(ValueError):
-        SuperOp(sp, dense=np.eye(5))
     with pytest.raises(ValueError):
         vee(identity(FockSpace(3)), identity(FockSpace(4)))

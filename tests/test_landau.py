@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -78,6 +79,10 @@ def test_chiral_frequencies_invalid_regime():
     # finite inputs whose discriminant overflows to inf - inf = nan
     with pytest.raises(ValueError, match="discriminant"):
         chiral_frequencies(LandauParams(mass=1e300, omega0=0.0, omega_c=2.0, theta=1e300))
+    # finite inputs whose closed forms overflow: a typed error, not OverflowError
+    for field, value in (("mass", 1e300), ("omega_c", 1e200), ("omega0", 1e200), ("hbar", 1e-300), ("theta", 1e300)):
+        with pytest.raises(ValueError, match="overflow"):
+            chiral_frequencies(dataclasses.replace(DEFAULT, **{field: value}))
 
 
 def test_spectrum_closed_forms():

@@ -92,7 +92,7 @@ def test_resolution_operator_matches_node_sum(n, radial, angular, mirrored):
     stack = displacement_stack(sp, -scheme.z_nodes if mirrored else scheme.z_nodes)
     vecs = (stack * sqrt_lam).reshape(len(scheme.z_nodes), n * n)
     reference = (vecs.T * (scheme.weights / (2 * math.pi))) @ vecs.conj()
-    got = resolution_operator(sp, spec, scheme, mirrored).to_dense()
+    got = resolution_operator(sp, spec, scheme, mirrored)
     assert np.max(np.abs(got - reference)) <= 1e-13
 
 

@@ -117,7 +117,7 @@ def test_resolution_matrix_elements():
     spec = ThermalSpec(1.0, 1.0)
     scheme = QuadratureScheme.default(20)
     lam = np.diag(gibbs_density(sp, spec).mat).real
-    dense = resolution_operator(sp, spec, scheme).to_dense()
+    dense = resolution_operator(sp, spec, scheme)
     v11 = vectorize(basis_element(sp, 1, 1))
     diag11 = complex(v11.conj() @ dense @ v11)
     assert diag11 == pytest.approx(lam[1], abs=1e-10)
@@ -132,7 +132,7 @@ def test_ground_limit_restricted_identity():
     sp = FockSpace(20)
     spec = ThermalSpec(1.0, 60.0)
     scheme = QuadratureScheme.default(20)
-    dense = resolution_operator(sp, spec, scheme).to_dense()
+    dense = resolution_operator(sp, spec, scheme)
     v00 = vectorize(basis_element(sp, 0, 0))
     assert complex(v00.conj() @ dense @ v00) == pytest.approx(1.0, abs=1e-8)
     v30 = vectorize(basis_element(sp, 3, 0))
