@@ -28,7 +28,7 @@ print("  first amplitudes:", np.round(np.diag(phi.mat).real[:5], 4))
 
 cs = thermal_cs(space, spec, 0.7 + 0.2j)
 print("\n|z> = D(z) Phi at z = 0.7+0.2j:")
-print("  norm:", f"{hs_norm(cs.state):.12f}")
+print("  norm:", f"{hs_norm(cs):.12f}")
 
 print("\nTomita reflection S|z> = |-z> (exact up to truncation):")
 for z in (0.4, 0.9j, 0.5 - 0.5j):

@@ -28,8 +28,6 @@ __all__ = [
     "vee",
     "left_action",
     "right_action",
-    "vectorize",
-    "unvectorize",
     "block_indices",
 ]
 
@@ -53,15 +51,6 @@ def basis_element(space: FockSpace, n: int, l: int) -> Operator:
     mat = np.zeros((space.dim, space.dim), dtype=complex)
     mat[n, l] = 1.0
     return Operator(space, mat)
-
-
-def vectorize(x: Operator) -> np.ndarray:
-    """Row-major coordinates of X in the |n><l| basis."""
-    return x.mat.ravel()
-
-
-def unvectorize(space: FockSpace, v: np.ndarray) -> Operator:
-    return Operator(space, np.asarray(v, dtype=complex).reshape(space.dim, space.dim))
 
 
 def block_indices(space: FockSpace, max_level: int) -> np.ndarray:

@@ -7,11 +7,13 @@ dressed frequencies Omega~_± = Omega~ ± omega~_c / 2, realized on the
 tensor product of two quantum (Hilbert-Schmidt) spaces with basis
 |n+, n-; m+, m-) = |n+><m+| (x) |n-><m-|.
 
-Provided here: the dressed frequencies and spectrum, the chiral ladder
-action, tensor coherent states, the thermal Husimi distribution and
-partition functions, the lowest-level projector with its reproducing
-kernel e^(z conj(z')), holomorphic projection, and the position /
-momentum uncertainty table of the right-action quadratures.
+Provided here: the dressed frequencies and spectrum, the chiral
+Hamiltonians (number operators on the ket indices) and ladder action,
+tensor coherent states, the thermal Husimi distribution and partition
+functions, the lowest-level projector with its reproducing kernel
+e^(z conj(z')), holomorphic projection, the position / momentum
+uncertainty table of the right-action quadratures, and the sector
+resolution X -> P X P of the classical frame P.
 
 Conventions: hbar is explicit in the dynamical quantities; the
 lowest-level wavefunctions use the magnetic length l0 = 1.
@@ -30,8 +32,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .fock import FockSpace, Operator, annihilation, displacement_stack, identity, osc_hamiltonian
-from .hs_space import SuperOp, basis_element, block_indices, vee
+from .fock import FockSpace, Operator, annihilation, displacement_stack, identity
+from .hs_space import SuperOp, basis_element, vee
 from .quadrature import QuadratureScheme
 from .thermal import safe_radius
 
@@ -41,7 +43,6 @@ __all__ = [
     "TensorState",
     "chiral_frequencies",
     "spectrum",
-    "hamiltonian_op",
     "apply_hamiltonian",
     "tensor_basis_state",
     "tensor_cs",
@@ -56,7 +57,6 @@ __all__ = [
     "project_hol",
     "uncertainty_report",
     "classical_frame",
-    "sector_resolution_operator",
     "tensor_resolution_residual",
     "diagonal_cs_channel",
 ]
@@ -140,12 +140,17 @@ def chiral_frequencies(p: LandauParams) -> ChiralFrequencies:
 
 
 def spectrum(p: LandauParams, n_max: int) -> np.ndarray:
-    """Energy grid E[n+, n-] = hbar O+ (n+ + 1/2) + hbar O- (n- + 1/2)."""
+    """Energy grid E[n+, n-] = hbar O+ (n+ + 1/2) + hbar O- (n- + 1/2);
+    a grid that overflows double precision raises ``ValueError``."""
     freq = chiral_frequencies(p)
     n = np.arange(n_max)
-    e_plus = p.hbar * freq.Omega_plus * (n + 0.5)
-    e_minus = p.hbar * freq.Omega_minus * (n + 0.5)
-    return e_plus[:, None] + e_minus[None, :]
+    with np.errstate(over="ignore", invalid="ignore"):
+        e_plus = p.hbar * freq.Omega_plus * (n + 0.5)
+        e_minus = p.hbar * freq.Omega_minus * (n + 0.5)
+        table = e_plus[:, None] + e_minus[None, :]
+    if not np.all(np.isfinite(table)):
+        raise ValueError("energies overflow double precision in the spectrum")
+    return table
 
 
 # -- tensor quantum space -------------------------------------------------
@@ -208,29 +213,15 @@ def apply_chiral_ladder(state: TensorState, sector: str, raising: bool) -> Tenso
     return TensorState(state.space, np.moveaxis(out, 0, axis))
 
 
-def hamiltonian_op(p: LandauParams, space: FockSpace) -> tuple[SuperOp, SuperOp]:
-    """Number-operator realization on the two sector quantum spaces.
-
-    Each factor is left multiplication by hbar O_± (N + 1/2); basis
-    states |n±><m±| are exact eigenvectors, independent of m±.
-    """
-    freq = chiral_frequencies(p)
-    h_plus = p.hbar * freq.Omega_plus * osc_hamiltonian(space, 1.0).mat
-    h_minus = p.hbar * freq.Omega_minus * osc_hamiltonian(space, 1.0).mat
-    eye = identity(space)
-    return (
-        vee(Operator(space, h_plus), eye),
-        vee(Operator(space, h_minus), eye),
-    )
-
-
 def apply_hamiltonian(p: LandauParams, state: TensorState) -> TensorState:
-    """(H+ (x) 1 + 1 (x) H-) applied through the sector operators."""
-    h_plus, h_minus = hamiltonian_op(p, state.space)
-    hp = h_plus.pairs[0][0]
-    hm = h_minus.pairs[0][0]
-    out = np.einsum("xn,nmab->xmab", hp, state.coeffs) + np.einsum("xa,nmab->nmxb", hm, state.coeffs)
-    return TensorState(state.space, out)
+    """(H+ (x) 1 + 1 (x) H-), each H_± = hbar O_± (N + 1/2) acting on the
+    ket index n_± alone: every |n±><m±| is an eigenvector, independent of m±."""
+    freq = chiral_frequencies(p)
+    n = np.arange(state.space.dim) + 0.5
+    e_plus = p.hbar * freq.Omega_plus * n
+    e_minus = p.hbar * freq.Omega_minus * n
+    c = state.coeffs
+    return TensorState(state.space, e_plus[:, None, None, None] * c + e_minus[None, None, :, None] * c)
 
 
 def tensor_cs(space: FockSpace, z_plus: complex, z_minus: complex) -> TensorState:
@@ -433,33 +424,21 @@ def classical_frame(space: FockSpace, scheme: QuadratureScheme) -> np.ndarray:
     return scheme._ring_gram(scheme._radial_stack(space)[:, :, :1])
 
 
-def sector_resolution_operator(space: FockSpace, scheme: QuadratureScheme) -> np.ndarray:
-    """Dense resolution superoperator of one quantum sector.
-
-    The completeness of the sector coherent family holds in the
-    Gaussian-smeared (off-diagonal) form: its endpoint is the sandwich
-    of the classical frame operator, X -> P X P with
-    P = (1/2 pi) int |z><z| dx dy; dense form kron(P, conj(P)) = kron(P, P),
-    P being real."""
-    p = classical_frame(space, scheme)
-    return np.kron(p, p)
-
-
 def tensor_resolution_residual(space: FockSpace, scheme: QuadratureScheme, max_level: int | None = None) -> float:
     """Deviation of the two-sector resolution from the identity on the
     block of states with all four indices <= max_level (default N/4).
 
-    For small spaces the full tensor operator is formed; otherwise the
-    sector deviations are combined into the exact triangle bound
-    r+ (1 + r-) + r-."""
+    Each sector resolves as the sandwich X -> P X P of the classical frame
+    P, dense form kron(P, P) (P is real), whose block columns are the
+    krons of P's block columns.  For small spaces the full tensor
+    operator is formed; otherwise the sector deviations are combined
+    into the exact triangle bound r+ (1 + r-) + r-."""
     if max_level is None:
         max_level = space.dim // 4
     n = space.dim
-    cols = block_indices(space, max_level)
-    # only the block columns of the sector operator and of the identity
-    # enter; the columns of a kron are the krons of the columns
-    sector = sector_resolution_operator(space, scheme)[:, cols]
-    eye = (np.arange(n * n)[:, None] == cols[None, :]).astype(float)
+    p = classical_frame(space, scheme)[:, : max_level + 1]
+    e = np.eye(n)[:, : max_level + 1]
+    sector, eye = np.kron(p, p), np.kron(e, e)
     if n**4 <= 4096:
         return float(np.linalg.norm(np.kron(sector, sector) - np.kron(eye, eye), 2))
     r = float(np.linalg.norm(sector - eye, 2))

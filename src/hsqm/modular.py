@@ -111,7 +111,7 @@ class ModularData:
     Hamiltonian must have rho as its Gibbs state at beta.
     """
 
-    __slots__ = ("space", "rho", "beta", "hamiltonian", "_evals", "_evecs", "_ham_evals", "_ham_evecs")
+    __slots__ = ("space", "rho", "beta", "_evals", "_evecs", "_ham_evals", "_ham_evecs")
 
     def __init__(self, rho: Operator, beta: float, hamiltonian: Operator | None = None):
         if not (beta > 0) or not np.isfinite(beta):
@@ -141,7 +141,6 @@ class ModularData:
             hamiltonian = Operator(rho.space, _spectral(evecs, -np.log(evals) / beta))
         elif hamiltonian.space != rho.space:
             raise ValueError("Hamiltonian lives on a different Fock space")
-        self.hamiltonian = hamiltonian
 
         self._ham_evals, self._ham_evecs = _eig(hamiltonian.mat)
         boltz = np.exp(-self.beta * self._ham_evals)

@@ -27,7 +27,6 @@ origin: S(|z>) = |-z>, exactly, since D(z)† = D(-z).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,7 +36,6 @@ from .modular import ModularData, tomita_s
 from .quadrature import QuadratureScheme
 
 __all__ = [
-    "ThermalCS",
     "thermal_vector",
     "thermal_cs",
     "safe_radius",
@@ -47,15 +45,6 @@ __all__ = [
     "s_beta_reflection",
     "cs_overlap",
 ]
-
-
-@dataclass(frozen=True)
-class ThermalCS:
-    """A displaced Gibbs purification with unit HS norm (up to truncation)."""
-
-    spec: ThermalSpec
-    z: complex
-    state: Operator
 
 
 def thermal_vector(space: FockSpace, spec: ThermalSpec) -> Operator:
@@ -70,8 +59,9 @@ def safe_radius(space: FockSpace) -> float:
     return math.sqrt(space.dim) / 4.0
 
 
-def thermal_cs(space: FockSpace, spec: ThermalSpec, z: complex) -> ThermalCS:
-    """|z> = D(z) Phi_beta.
+def thermal_cs(space: FockSpace, spec: ThermalSpec, z: complex) -> Operator:
+    """|z> = D(z) Phi_beta, itself the vector of B2(H_N): a displaced
+    Gibbs purification with unit HS norm (up to truncation).
 
     Rejects labels outside the safe disc, where truncation would make
     the norm contract unverifiable.
@@ -81,8 +71,7 @@ def thermal_cs(space: FockSpace, spec: ThermalSpec, z: complex) -> ThermalCS:
             f"|z| = {abs(z):.3f} exceeds the safe displacement radius "
             f"{safe_radius(space):.3f} for dim {space.dim}"
         )
-    state = displacement(space, z) @ thermal_vector(space, spec)
-    return ThermalCS(spec, complex(z), state)
+    return displacement(space, z) @ thermal_vector(space, spec)
 
 
 def resolution_operator(
@@ -161,13 +150,13 @@ def s_beta_reflection(space: FockSpace, spec: ThermalSpec, z: complex) -> float:
     S(D(z) Phi_beta) = D(z)† Phi_beta = D(-z) Phi_beta."""
     md = ModularData.from_thermal(space, spec)
     s_map = tomita_s(md)
-    plus = thermal_cs(space, spec, z).state
-    minus = thermal_cs(space, spec, -z).state
+    plus = thermal_cs(space, spec, z)
+    minus = thermal_cs(space, spec, -z)
     return hs_norm(s_map(plus) - minus)
 
 
 def cs_overlap(space: FockSpace, spec: ThermalSpec, z1: complex, z2: complex) -> complex:
     """<z1|z2> computed directly from the two states."""
-    a = thermal_cs(space, spec, z1).state
-    b = thermal_cs(space, spec, z2).state
+    a = thermal_cs(space, spec, z1)
+    b = thermal_cs(space, spec, z2)
     return complex(np.vdot(a.mat, b.mat))

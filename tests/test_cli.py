@@ -235,6 +235,7 @@ def test_non_finite_landau_parameter_is_invalid(flag, value, capsys):
         ["uncertainty", "--hbar", "1e200"],
         ["uncertainty", "--theta", "1e-300"],
         ["uncertainty", "--theta", "1e200"],
+        ["spectrum", "--hbar", "1e307"],
     ],
 )
 def test_overflowing_landau_parameter_is_invalid(argv, capsys):

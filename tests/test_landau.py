@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hsqm.fock import FockSpace, displacement_stack
 from hsqm.hs_space import basis_element, block_indices
 from hsqm.landau import (
     LandauParams,
+    TensorState,
     apply_chiral_ladder,
     apply_hamiltonian,
     chiral_frequencies,
@@ -24,7 +26,6 @@ from hsqm.landau import (
     partition,
     project_hol,
     reproducing_kernel,
-    sector_resolution_operator,
     spectrum,
     tensor_basis_state,
     tensor_cs,
@@ -102,6 +103,15 @@ def test_spectrum_closed_forms():
     assert np.max(np.abs(flat - flat[:, :1])) == 0.0  # degenerate in n_minus
 
 
+def test_spectrum_overflow_raises_without_warning():
+    # the frequencies are finite at hbar = 1e307, the energy table is not
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.all(np.isfinite(spectrum(dataclasses.replace(DEFAULT, hbar=1e306), 8)))
+        with pytest.raises(ValueError, match="overflow double precision"):
+            spectrum(dataclasses.replace(DEFAULT, hbar=1e307), 8)
+
+
 def test_hamiltonian_eigenrelation():
     sp = FockSpace(8)
     table = spectrum(DEFAULT, 8)
@@ -118,12 +128,30 @@ def test_hamiltonian_hermitian():
     rng = np.random.default_rng(3)
     a = rng.standard_normal((5,) * 4) + 1j * rng.standard_normal((5,) * 4)
     b = rng.standard_normal((5,) * 4) + 1j * rng.standard_normal((5,) * 4)
-    from hsqm.landau import TensorState
-
     sa, sb = TensorState(sp, a), TensorState(sp, b)
     lhs = sa.inner(apply_hamiltonian(DEFAULT, sb))
     rhs = apply_hamiltonian(DEFAULT, sa).inner(sb)
     assert lhs == pytest.approx(rhs, rel=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(2, 6),
+    st.sampled_from([DEFAULT, LandauParams(mass=2.0, omega0=0.5, omega_c=3.0, theta=0.0, hbar=0.7)]),
+)
+def test_apply_hamiltonian_matches_sector_matrices(seed, n, params):
+    # reference: left multiplication of each ket index by the sector
+    # matrix diag(hbar O_± (n + 1/2))
+    rng = np.random.default_rng(seed)
+    c = rng.standard_normal((n,) * 4) + 1j * rng.standard_normal((n,) * 4)
+    f = chiral_frequencies(params)
+    levels = np.arange(n) + 0.5
+    hp = np.diag(params.hbar * f.Omega_plus * levels)
+    hm = np.diag(params.hbar * f.Omega_minus * levels)
+    reference = np.einsum("xn,nmab->xmab", hp, c) + np.einsum("xa,nmab->nmxb", hm, c)
+    got = apply_hamiltonian(params, TensorState(FockSpace(n), c)).coeffs
+    assert np.max(np.abs(got - reference)) <= 1e-14 * np.max(np.abs(reference))
 
 
 def test_chiral_ladder_algebra():
@@ -437,15 +465,14 @@ def test_diagonal_cs_channel_is_not_identity():
 # (A < 2N - 1) exercise charges that differ by A.
 
 
-def _frame_cases():
-    for n in (4, 6, 8):
-        yield n, 2 * n, 4 * n + 1
-        for count in (3, 4, 5, 8):
-            if count < 2 * n - 1:
-                yield n, 2 * n, count
+def _scheme_sizes(n):
+    yield 2 * n, 4 * n + 1
+    for count in (3, 4, 5, 8):
+        if count < 2 * n - 1:
+            yield 2 * n, count
 
 
-FRAME_CASES = list(_frame_cases())
+FRAME_CASES = [(n, *sizes) for n in (4, 6, 8) for sizes in _scheme_sizes(n)]
 
 
 def _node_vectors(sp, scheme):
@@ -462,9 +489,6 @@ def test_classical_and_sector_frames_match_node_sum(n, radial, angular):
     frame = classical_frame(sp, scheme)
     assert np.isrealobj(frame)
     assert np.max(np.abs(frame - reference)) <= 1e-13
-    sector = sector_resolution_operator(sp, scheme)
-    assert np.isrealobj(sector)
-    assert np.max(np.abs(sector - np.kron(reference, reference.conj()))) <= 1e-13
 
 
 @pytest.mark.parametrize("n, radial, angular", FRAME_CASES)
@@ -479,14 +503,23 @@ def test_diagonal_cs_channel_matches_node_sum(n, radial, angular):
     assert np.max(np.abs(chan - reference)) <= 1e-13
 
 
-@pytest.mark.parametrize("n, max_level", [(4, None), (5, None), (6, None), (7, None), (6, 2), (7, 3)])
+@pytest.mark.parametrize(
+    "n, max_level", [(n, None) for n in range(4, 10)] + [(6, 2), (7, 3), (8, 1), (9, 2)]
+)
 def test_tensor_resolution_residual_matches_full_kron(n, max_level):
-    # below N^4 = 4096 the residual is exact; slicing the block columns
-    # before the kron must not move a bit
+    # the sector operator is kron(P, P) sliced to the block columns; up to
+    # N^4 = 4096 the two-sector residual is exact, above it the triangle
+    # bound.  Kronning only the block columns of P must not move a bit.
     sp = FockSpace(n)
-    scheme = QuadratureScheme.default(n)
-    sector = sector_resolution_operator(sp, scheme)
     cols = block_indices(sp, n // 4 if max_level is None else max_level)
-    cols4 = (cols[:, None] * (n * n) + cols[None, :]).ravel()
-    reference = float(np.linalg.norm((np.kron(sector, sector) - np.eye(n**4))[:, cols4], 2))
-    assert tensor_resolution_residual(sp, scheme, max_level) == reference
+    for radial, angular in _scheme_sizes(n):
+        scheme = QuadratureScheme(radial, angular)
+        frame = classical_frame(sp, scheme)
+        sector = np.kron(frame, frame)[:, cols]
+        eye = np.eye(n * n)[:, cols]
+        if n**4 <= 4096:
+            reference = float(np.linalg.norm(np.kron(sector, sector) - np.kron(eye, eye), 2))
+        else:
+            r = float(np.linalg.norm(sector - eye, 2))
+            reference = r * (1.0 + r) + r
+        assert tensor_resolution_residual(sp, scheme, max_level) == reference

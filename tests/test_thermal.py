@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from hsqm.fock import FockSpace, ThermalSpec, displacement, gibbs_density
-from hsqm.hs_space import basis_element, hs_inner, hs_norm, vectorize
+from hsqm.fock import FockSpace, Operator, ThermalSpec, displacement, gibbs_density
+from hsqm.hs_space import basis_element, hs_norm
 from hsqm.quadrature import QuadratureScheme
 from hsqm.thermal import (
     cs_overlap,
@@ -38,7 +38,8 @@ def test_cs_at_origin_and_safety():
     sp = FockSpace(16)
     spec = ThermalSpec(1.0, 0.9)
     cs = thermal_cs(sp, spec, 0.0)
-    assert hs_norm(cs.state - thermal_vector(sp, spec)) == 0.0
+    assert isinstance(cs, Operator)
+    assert hs_norm(cs - thermal_vector(sp, spec)) == 0.0
     with pytest.raises(ValueError):
         thermal_cs(sp, spec, 1.5 * safe_radius(sp))
 
@@ -51,8 +52,8 @@ def test_ground_limit_is_canonical_cs():
     canonical = np.exp(-abs(z) ** 2 / 2.0) * z**n / np.sqrt(
         np.array([math.factorial(k) for k in range(24)], dtype=float)
     )
-    assert np.allclose(cs.state.mat[:, 0], canonical, atol=1e-12)
-    assert np.max(np.abs(cs.state.mat[:, 1:])) == 0.0
+    assert np.allclose(cs.mat[:, 0], canonical, atol=1e-12)
+    assert np.max(np.abs(cs.mat[:, 1:])) == 0.0
 
 
 def test_cs_norm_in_safe_disc():
@@ -61,18 +62,18 @@ def test_cs_norm_in_safe_disc():
     sp = FockSpace(24)
     cold = ThermalSpec(1.0, 2.0)
     for z in (0.5, 1.0j, safe_radius(sp) * 0.99):
-        assert hs_norm(thermal_cs(sp, cold, z).state) == pytest.approx(1.0, abs=1e-10)
+        assert hs_norm(thermal_cs(sp, cold, z)) == pytest.approx(1.0, abs=1e-10)
     warm = ThermalSpec(1.0, 1.0)
     sp32 = FockSpace(32)
     for z in (0.5, 1.0j):
-        assert hs_norm(thermal_cs(sp32, warm, z).state) == pytest.approx(1.0, abs=1e-10)
+        assert hs_norm(thermal_cs(sp32, warm, z)) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_expansion_coefficients_vs_scaled_displacement():
     sp = FockSpace(20)
     spec = ThermalSpec(1.0, 1.0)
     z = 0.4 - 0.3j
-    state = thermal_cs(sp, spec, z).state
+    state = thermal_cs(sp, spec, z)
     lam = np.diag(gibbs_density(sp, spec).mat).real
     d = displacement(sp, z).mat
     for j in range(6):
@@ -118,11 +119,11 @@ def test_resolution_matrix_elements():
     scheme = QuadratureScheme.default(20)
     lam = np.diag(gibbs_density(sp, spec).mat).real
     dense = resolution_operator(sp, spec, scheme)
-    v11 = vectorize(basis_element(sp, 1, 1))
+    v11 = basis_element(sp, 1, 1).mat.ravel()
     diag11 = complex(v11.conj() @ dense @ v11)
     assert diag11 == pytest.approx(lam[1], abs=1e-10)
     # mismatched angular phases integrate to zero
-    v01, v10 = vectorize(basis_element(sp, 0, 1)), vectorize(basis_element(sp, 1, 0))
+    v01, v10 = basis_element(sp, 0, 1).mat.ravel(), basis_element(sp, 1, 0).mat.ravel()
     assert abs(complex(v10.conj() @ dense @ v01)) <= 1e-10
 
 
@@ -133,9 +134,9 @@ def test_ground_limit_restricted_identity():
     spec = ThermalSpec(1.0, 60.0)
     scheme = QuadratureScheme.default(20)
     dense = resolution_operator(sp, spec, scheme)
-    v00 = vectorize(basis_element(sp, 0, 0))
+    v00 = basis_element(sp, 0, 0).mat.ravel()
     assert complex(v00.conj() @ dense @ v00) == pytest.approx(1.0, abs=1e-8)
-    v30 = vectorize(basis_element(sp, 3, 0))
+    v30 = basis_element(sp, 3, 0).mat.ravel()
     assert complex(v30.conj() @ dense @ v30) == pytest.approx(1.0, abs=1e-8)
 
 
