@@ -54,8 +54,11 @@ def basis_element(space: FockSpace, n: int, l: int) -> Operator:
 
 
 def block_indices(space: FockSpace, max_level: int) -> np.ndarray:
-    """Row-major indices n*N + l of the |n><l| with n, l <= max_level."""
-    keep = np.arange(max_level + 1)
+    """Row-major indices n*N + l of the |n><l| with n, l <= max_level; a
+    max_level >= N keeps every level, a negative one (empty block) raises."""
+    if max_level < 0:
+        raise ValueError(f"max_level must be >= 0, got {max_level}")
+    keep = np.arange(min(max_level, space.dim - 1) + 1)
     return (keep[:, None] * space.dim + keep[None, :]).ravel()
 
 

@@ -33,7 +33,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .fock import FockSpace, Operator, annihilation, displacement_stack, identity
-from .hs_space import SuperOp, basis_element, vee
+from .hs_space import SuperOp, basis_element, block_indices, vee
 from .quadrature import QuadratureScheme
 from .thermal import safe_radius
 
@@ -421,7 +421,7 @@ def classical_frame(space: FockSpace, scheme: QuadratureScheme) -> np.ndarray:
 
     <n|z> is column 0 of D(z), so the frame is the ring Gram of the
     radial columns: real, and nonzero only where n = m (mod A)."""
-    return scheme._ring_gram(scheme._radial_stack(space)[:, :, :1])
+    return scheme._ring_gram(scheme._radial_column(space)[:, :, None])
 
 
 def tensor_resolution_residual(space: FockSpace, scheme: QuadratureScheme, max_level: int | None = None) -> float:
@@ -433,11 +433,11 @@ def tensor_resolution_residual(space: FockSpace, scheme: QuadratureScheme, max_l
     krons of P's block columns.  For small spaces the full tensor
     operator is formed; otherwise the sector deviations are combined
     into the exact triangle bound r+ (1 + r-) + r-."""
-    if max_level is None:
-        max_level = space.dim // 4
     n = space.dim
-    p = classical_frame(space, scheme)[:, : max_level + 1]
-    e = np.eye(n)[:, : max_level + 1]
+    cols = block_indices(space, n // 4 if max_level is None else max_level)
+    keep = cols[cols < n]  # row 0 of the block, 0*N + l: its levels
+    p = classical_frame(space, scheme)[:, keep]
+    e = np.eye(n)[:, keep]
     sector, eye = np.kron(p, p), np.kron(e, e)
     if n**4 <= 4096:
         return float(np.linalg.norm(np.kron(sector, sector) - np.kron(eye, eye), 2))
@@ -452,5 +452,5 @@ def diagonal_cs_channel(space: FockSpace, scheme: QuadratureScheme) -> np.ndarra
 
     |z><z| has entries <n|z> conj(<m|z>) of charge n - m, so the channel
     is the ring Gram of the radial outer products: real."""
-    c = scheme._radial_stack(space)[:, :, 0]
+    c = scheme._radial_column(space)
     return scheme._ring_gram(c[:, :, None] * c[:, None, :])

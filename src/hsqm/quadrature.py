@@ -27,7 +27,7 @@ import math
 import numpy as np
 from scipy.special import roots_laguerre
 
-from .fock import FockSpace, displacement_stack
+from .fock import FockSpace, _closed_form_entries, _closed_form_support, displacement_stack
 
 __all__ = ["QuadratureScheme"]
 
@@ -78,21 +78,27 @@ class QuadratureScheme:
         radii = np.sqrt(self.radial_nodes)
         return displacement_stack(space, -radii if mirrored else radii).real
 
-    def _ring_gram(self, mats: np.ndarray) -> np.ndarray:
+    def _radial_column(self, space: FockSpace) -> np.ndarray:
+        """Column 0 of the radial matrices, <n|sqrt(t_r)>, shape (R, N): R * N entries."""
+        support = _closed_form_support(np.arange(space.dim), np.zeros(space.dim, int), space.dim)
+        return _closed_form_entries(np.sqrt(self.radial_nodes).astype(complex), support).real
+
+    def _ring_gram(self, mats: np.ndarray, columns: np.ndarray | None = None) -> np.ndarray:
         """(1/2pi) sum_k w_k vec(M_k) vec(M_k)^† over the nodes, where
         M_k = e^(i(m-n) phi_k) mats[r] on the ring r of node k and (m, n)
         indexes the last two axes of ``mats`` (shape (R, M, M')).
 
         Only pairs of entries whose charges m - n agree mod A survive the
-        angular sum.  Real, shape (M*M', M*M').
+        angular sum.  Real, shape (M*M', M*M'), or (M*M', C) for C ``columns``.
         """
         count = self.angular_count
         rings, rows, cols = mats.shape
         charge = np.subtract.outer(np.arange(rows), np.arange(cols)).ravel() % count
         vecs = mats.reshape(rings, rows * cols)
         ring_weights = self.weights[::count] * (count / (2.0 * math.pi))
-        gram = (vecs.T * ring_weights) @ vecs
-        return np.where(charge[:, None] == charge[None, :], gram, 0.0)
+        keep = slice(None) if columns is None else columns
+        gram = (vecs.T * ring_weights) @ vecs[:, keep]
+        return np.where(charge[:, None] == charge[keep], gram, 0.0)
 
     def xy_nodes(self) -> tuple[np.ndarray, np.ndarray]:
         """Cartesian nodes under the z = (y - ix)/sqrt(2) convention."""

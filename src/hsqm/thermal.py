@@ -17,8 +17,9 @@ frame operator (truncation-level small).
 
 Assembly is block-sparse by charge: on the polar quadrature nodes the
 family is R radial states times a phase e^(i(m-n) phi), and the angular
-sum keeps only entries whose charges m - n agree mod A.  It costs one
-(N^2 x R) @ (R x N^2) real product, not a sum over all K = R * A nodes.
+sum keeps only entries whose charges m - n agree mod A.  The residuals
+assemble only the M columns of the block they check, one (N^2 x R) @
+(R x M) real product, not a sum over all K = R * A nodes.
 
 The Tomita map of the thermal state reflects the family through the
 origin: S(|z>) = |-z>, exactly, since D(z)† = D(-z).
@@ -75,11 +76,12 @@ def thermal_cs(space: FockSpace, spec: ThermalSpec, z: complex) -> Operator:
 
 
 def resolution_operator(
-    space: FockSpace, spec: ThermalSpec, scheme: QuadratureScheme, mirrored: bool = False
+    space: FockSpace, spec: ThermalSpec, scheme: QuadratureScheme, mirrored: bool = False, max_level: int | None = None
 ) -> np.ndarray:
     """Quadrature assembly of (1/2pi) * integral |z><z| dx dy as a dense
     superoperator on B2(H_N): a real N^2 x N^2 array acting on row-major
-    vectorized X; ``mirrored`` uses the reflected family |-z>.
+    vectorized X; ``mirrored`` uses the reflected family |-z>.  A
+    ``max_level`` assembles only the columns ``block_indices(space, max_level)``.
 
     Assembled from the R radial states D(sqrt(t_r)) Phi_beta, not the
     K = R * A node states: the angular sum keeps only entries whose
@@ -89,7 +91,7 @@ def resolution_operator(
     """
     sqrt_lam = np.sqrt(np.diag(gibbs_density(space, spec).mat).real)
     states = scheme._radial_stack(space, mirrored) * sqrt_lam  # D(±sqrt(t_r)) @ diag(sqrt(lambda))
-    return scheme._ring_gram(states)
+    return scheme._ring_gram(states, None if max_level is None else block_indices(space, max_level))
 
 
 def _right_weight_deviation(
@@ -102,14 +104,13 @@ def _right_weight_deviation(
 ) -> float:
     """Operator-norm distance between the assembled family and right
     multiplication by diag(weights) (dense form kron(I, diag(weights))),
-    on inputs supported on levels <= max_level (default N/4)."""
-    if max_level is None:
-        max_level = space.dim // 4
+    on levels <= max_level (default N/4), from the M x M Gram D^T D."""
+    max_level = space.dim // 4 if max_level is None else max_level
     cols = block_indices(space, max_level)
-    deviation = resolution_operator(space, spec, scheme, mirrored)[:, cols]
+    deviation = resolution_operator(space, spec, scheme, mirrored, max_level)
     # the reference is diagonal: entry n*N + l carries weights[l]
     deviation[cols, np.arange(cols.size)] -= weights[cols % space.dim]
-    return float(np.linalg.norm(deviation, 2))
+    return math.sqrt(max(np.linalg.eigvalsh(deviation.T @ deviation)[-1], 0.0))
 
 
 def resolution_residual(

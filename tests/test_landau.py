@@ -492,6 +492,19 @@ def test_classical_and_sector_frames_match_node_sum(n, radial, angular):
 
 
 @pytest.mark.parametrize("n, radial, angular", FRAME_CASES)
+def test_frames_from_column_zero_match_full_stack(n, radial, angular):
+    # the closed form on the support (n, 0) only gives the same bits as
+    # column 0 of the full radial stack, and so the same frames
+    sp = FockSpace(n)
+    scheme = QuadratureScheme(radial, angular)
+    stack = scheme._radial_stack(sp)
+    c = stack[:, :, 0]
+    assert np.array_equal(scheme._radial_column(sp), c)
+    assert np.array_equal(classical_frame(sp, scheme), scheme._ring_gram(stack[:, :, :1]))
+    assert np.array_equal(diagonal_cs_channel(sp, scheme), scheme._ring_gram(c[:, :, None] * c[:, None, :]))
+
+
+@pytest.mark.parametrize("n, radial, angular", FRAME_CASES)
 def test_diagonal_cs_channel_matches_node_sum(n, radial, angular):
     sp = FockSpace(n)
     scheme = QuadratureScheme(radial, angular)

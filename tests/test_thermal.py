@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hsqm.fock import FockSpace, Operator, ThermalSpec, displacement, gibbs_density
-from hsqm.hs_space import basis_element, hs_norm
+from hsqm.hs_space import basis_element, block_indices, hs_norm
+from hsqm.landau import tensor_resolution_residual
 from hsqm.quadrature import QuadratureScheme
 from hsqm.thermal import (
     cs_overlap,
@@ -145,3 +148,84 @@ def test_reflection(z):
     sp = FockSpace(24)
     spec = ThermalSpec(1.0, 0.8)
     assert s_beta_reflection(sp, spec, z) <= 1e-9
+
+
+# -- residuals at block cost ---------------------------------------------------
+#
+# The residuals assemble only the block's columns and take the operator
+# norm from the small Gram D^T D.  The schemes are the FRAME_CASES of
+# test_landau.py: the default rule and the aliased A = 3, 4, 5, 8.
+
+
+def _scheme_sizes(n):
+    yield 2 * n, 4 * n + 1
+    for count in (3, 4, 5, 8):
+        if count < 2 * n - 1:
+            yield 2 * n, count
+
+
+FRAME_CASES = [(n, *sizes) for n in (4, 6, 8) for sizes in _scheme_sizes(n)]
+
+
+@pytest.mark.parametrize("mirrored", [False, True])
+@pytest.mark.parametrize("n, radial, angular", FRAME_CASES)
+def test_block_columns_match_full_operator(n, radial, angular, mirrored):
+    # an entry is one R-term dot product with positive ring weights, so
+    # two summation orders differ by at most R eps sqrt(G_ii G_jj)
+    # (Cauchy-Schwarz), within R eps max diag(G).  Not bitwise: numpy
+    # sends the one-column product (max_level = 0) to GEMV, which sums in
+    # another order than the full GEMM.
+    sp = FockSpace(n)
+    spec = ThermalSpec(1.0, 0.7)
+    scheme = QuadratureScheme(radial, angular)
+    full = resolution_operator(sp, spec, scheme, mirrored)
+    bound = radial * np.finfo(float).eps * np.max(np.diag(full))
+    for max_level in range(n):
+        cols = block_indices(sp, max_level)
+        block = resolution_operator(sp, spec, scheme, mirrored, max_level)
+        assert block.shape == (n * n, (max_level + 1) ** 2)
+        assert np.max(np.abs(block - full[:, cols])) <= bound
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n=st.integers(2, 24),
+    omega=st.floats(0.1, 4.0),
+    beta=st.floats(0.05, 6.0),
+    angular=st.sampled_from([None, 3, 4, 5]),
+    mirrored=st.booleans(),
+    data=st.data(),
+)
+def test_residual_gram_norm_matches_dense_norm(n, omega, beta, angular, mirrored, data):
+    # sqrt of the top eigenvalue of D^T D against the SVD norm of D itself
+    max_level = data.draw(st.integers(0, n - 1), label="max_level")
+    sp = FockSpace(n)
+    spec = ThermalSpec(omega, beta)
+    scheme = QuadratureScheme.default(n) if angular is None else QuadratureScheme(2 * n, angular)
+    lam = np.diag(gibbs_density(sp, spec).mat).real
+    cols = block_indices(sp, max_level)
+    for weights, residual in ((np.ones(n), resolution_residual), (lam, frame_operator_residual)):
+        deviation = resolution_operator(sp, spec, scheme, mirrored, max_level)
+        deviation[cols, np.arange(cols.size)] -= weights[cols % n]
+        dense = np.linalg.norm(deviation, 2)
+        assert residual(sp, spec, scheme, mirrored, max_level) == pytest.approx(dense, rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("n", [5, 9])  # the tensor residual's exact path, then its triangle bound
+def test_max_level_is_checked(n):
+    # a negative max_level is an empty block, never a vacuous 0.0; from
+    # N on, every level is kept
+    sp = FockSpace(n)
+    spec = ThermalSpec(1.0, 1.0)
+    scheme = QuadratureScheme.default(n)
+    for residual in (
+        lambda m: resolution_residual(sp, spec, scheme, max_level=m),
+        lambda m: frame_operator_residual(sp, spec, scheme, mirrored=True, max_level=m),
+        lambda m: tensor_resolution_residual(sp, scheme, m),
+    ):
+        for bad in (-1, -2, -n):
+            with pytest.raises(ValueError, match="max_level"):
+                residual(bad)
+        assert residual(n) == residual(n - 1) == residual(50)
+    with pytest.raises(ValueError, match="max_level"):
+        resolution_operator(sp, spec, scheme, max_level=-1)
