@@ -169,22 +169,14 @@ def _cmd_commutant(args):
     space = FockSpace(args.N)
     block = {"algebra": [], "span_dim": [], "commutant_dim": [], "double_commutant_dim": [], "factor": []}
     contracts = []
-    gens = {
-        "left": [vee(annihilation(space), identity(space)), vee(creation(space), identity(space))],
-        "right": [
-            vee(identity(space), annihilation(space)),
-            vee(identity(space), creation(space)),
-        ],
-    }
+    eye, ops = identity(space), (annihilation(space), creation(space))
+    gens = {"left": [vee(op, eye) for op in ops], "right": [vee(eye, op) for op in ops]}
     spans = {}
-    commutants = {}
     for name, sups in gens.items():
-        alg = vn.algebra_span(vn.AlgebraGens(args.N**2, [s.to_dense() for s in sups]))
-        spans[name] = alg
-        comm = commutants[name] = vn.commutant_basis(alg)
+        alg = spans[name] = vn.algebra_span(vn.AlgebraGens(args.N**2, [s.to_dense() for s in sups]))
+        comm = vn.commutant_basis(alg)
         double = vn.commutant_basis(comm)
-        # is_factor's definition, on the commutant already in hand
-        factor = vn.intersection_dimension(alg, comm) == 1
+        factor = vn.is_factor(alg)
         for column, value in zip(block, (name, alg.size, comm.size, double.size, factor)):
             block[column].append(value)
         _check_equal(contracts, f"{name}_span_dim", alg.size, args.N**2)
@@ -194,7 +186,7 @@ def _cmd_commutant(args):
     _check_equal(
         contracts,
         "left_right_mutual_commutant",
-        all(vn.span_contains(spans["right"], m) for m in commutants["left"].basis),
+        all(vn.span_contains(spans["right"], m) for m in vn.commutant_basis(spans["left"]).basis),
         True,
     )
     return [block], contracts

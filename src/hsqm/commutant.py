@@ -8,6 +8,9 @@ Hermitian positive semidefinite with range exactly B', so a commutant is
 one d^2 x d^2 ``eigh``; and the algebra generated by a set is (A')', with
 A' the null space of the generators' commutators.  Ranks use a relative
 1e-10 cutoff; a kernel whose preconditions fail raises ``ValueError``.
+Generators with no nonzero imaginary part generate a real *-algebra's
+complexification, so every solve stays in float64 (complex128 otherwise);
+each commutant is solved once, and kept on its frozen basis.
 """
 
 from __future__ import annotations
@@ -43,20 +46,27 @@ class AlgebraGens:
     generators: list = field(default_factory=list)
 
     def __post_init__(self):
-        self.generators = [np.ascontiguousarray(g, dtype=complex) for g in self.generators]
+        gens = [np.asarray(g) for g in self.generators]
+        real = not any(np.any(g.imag) for g in gens)
+        self.generators = [np.ascontiguousarray(g.real if real else g, dtype=float if real else complex) for g in gens]
         if not self.generators:
             raise ValueError("need at least one generator")
-        for g in self.generators:
-            if g.shape != (self.dim, self.dim):
-                raise ValueError("generator has wrong shape")
+        if any(g.shape != (self.dim, self.dim) for g in self.generators):
+            raise ValueError("generator has wrong shape")
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class AlgebraBasis:
-    """Frobenius-orthonormal basis of a matrix algebra (or linear span)."""
+    """Frobenius-orthonormal basis of a span, as a read-only (size, d, d) copy."""
 
     dim: int
-    basis: list
+    basis: np.ndarray
+    _commutant: AlgebraBasis | None = field(default=None, init=False, repr=False)
+
+    def __post_init__(self):
+        basis = np.array(self.basis, order="C").reshape(-1, self.dim, self.dim)
+        basis.flags.writeable = False
+        object.__setattr__(self, "basis", basis)
 
     @property
     def size(self) -> int:
@@ -65,7 +75,7 @@ class AlgebraBasis:
 
 def _rows(alg: AlgebraBasis) -> np.ndarray:
     """The basis as the rows of a size x d^2 matrix (row-major vec)."""
-    return np.reshape(alg.basis, (alg.size, alg.dim * alg.dim))
+    return alg.basis.reshape(alg.size, alg.dim * alg.dim)
 
 
 def _outside(rows: np.ndarray, vecs: np.ndarray) -> np.ndarray:
@@ -98,7 +108,7 @@ def algebra_span(gens: AlgebraGens) -> AlgebraBasis:
     if rank < s.size and s[rank] > _GAP_RATIO * cutoff:
         raise ValueError(f"generator commutators have no clear rank gap: {s[rank]:.3g} against cutoff {cutoff:.3g}")
     # M = U S Vh, so the null vectors of M are the conjugated rows of Vh
-    alg = commutant_basis(AlgebraBasis(d, list(vh[rank:].conj().reshape(-1, d, d))))
+    alg = commutant_basis(AlgebraBasis(d, vh[rank:].conj()))
     if np.max(_outside(_rows(alg), np.reshape(units, (len(units), d * d)))) > _CLOSURE_TOL:
         raise ValueError("a generator lies outside the computed span")
     return alg
@@ -111,8 +121,11 @@ def commutant_basis(alg: AlgebraBasis) -> AlgebraBasis:
     for a unital *-algebra its range is exactly the commutant, spanned by its
     eigenvectors above the rank cutoff (returned largest eigenvalue first).
     Raises ``ValueError`` on a span without the identity or not closed under
-    adjoints, where the twirl has another range.
+    adjoints, where the twirl has another range.  Solved once per basis: a
+    repeated call returns the commutant kept on ``alg``.
     """
+    if alg._commutant is not None:
+        return alg._commutant
     d = alg.dim
     v = _rows(alg)
     adjoints = v.reshape(-1, d, d).transpose(0, 2, 1).conj().reshape(-1, d * d)
@@ -125,7 +138,8 @@ def commutant_basis(alg: AlgebraBasis) -> AlgebraBasis:
     lam, vecs = np.linalg.eigh(twirl)
     # the eigenvalues on B' are ratios of block multiplicities, >= 1/d
     keep = np.flatnonzero(lam > _RANK_TOL * max(float(lam[-1]), 1.0))[::-1]
-    return AlgebraBasis(d, list(vecs[:, keep].T.reshape(-1, d, d)))
+    object.__setattr__(alg, "_commutant", AlgebraBasis(d, vecs[:, keep].T))
+    return alg._commutant
 
 
 def intersection_dimension(a: AlgebraBasis, b: AlgebraBasis) -> int:

@@ -87,6 +87,10 @@ def _check_run(argv):
 _log_uniform = st.floats(-3.0, 3.0).map(lambda e: 10.0**e)
 
 
+def _with_flags(argv, values):
+    return argv + [arg for flag, value in zip(PHYSICAL_FLAGS, values) for arg in (flag, repr(value))]
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.sampled_from(sorted(set(CONTRACTS) - {"commutant"})),
@@ -94,15 +98,27 @@ _log_uniform = st.floats(-3.0, 3.0).map(lambda e: 10.0**e)
     st.tuples(*[_log_uniform] * len(PHYSICAL_FLAGS)),
 )
 def test_generated_configuration_reports_or_rejects(command, n, values):
-    argv = [command, "--N", str(n)]
-    for flag, value in zip(PHYSICAL_FLAGS, values):
-        argv += [flag, repr(value)]
-    _check_run(argv)
+    _check_run(_with_flags([command, "--N", str(n)], values))
 
 
 def test_commutant_default_reports_contracts():
     code, doc = _check_run(["commutant"])
     assert code == 0
+
+
+@pytest.mark.parametrize("n", [4, 5])
+@settings(max_examples=2, deadline=None)
+@given(st.tuples(*[_log_uniform] * len(PHYSICAL_FLAGS)))
+def test_generated_commutant_configuration_reports(n, values):
+    # the commutant reads no physical flag; every N it accepts must pass
+    code, _ = _check_run(_with_flags(["commutant", "--N", str(n)], values))
+    assert code == 0
+
+
+@pytest.mark.parametrize("n", [-1, 0, 3])
+def test_commutant_below_n4_is_rejected(n):
+    code, error = _check_run(["commutant", "--N", str(n)])
+    assert code == 2 and "truncation N must be at least 4" in error["error"]
 
 
 def test_spectrum_overflow_is_rejected():

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -190,15 +192,20 @@ def test_cyclic_separating_duality_random():
         assert check_separating(alg, phi) == check_cyclic(commutant_basis(alg), phi)
 
 
-def _rotated_block_algebra(blocks, seed):
+def _gaussian(rng, shape, real):
+    x = rng.standard_normal(shape)
+    return x if real else x + 1j * rng.standard_normal(shape)
+
+
+def _rotated_block_algebra(blocks, seed, real=False):
     """Two random generators of Q (⊕ M_{n_i} ⊗ I_{m_i}) Q†, Q a random
-    complex unitary."""
+    complex unitary (real orthogonal, with real blocks, if ``real``)."""
     rng = np.random.default_rng(seed)
     d = sum(n * m for n, m in blocks)
-    q, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    q, _ = np.linalg.qr(_gaussian(rng, (d, d), real))
     gens = []
     for _ in range(2):
-        parts = [np.kron(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)), np.eye(m)) for n, m in blocks]
+        parts = [np.kron(_gaussian(rng, (n, n), real), np.eye(m)) for n, m in blocks]
         gens.append(q @ block_diag(*parts) @ q.conj().T)
     return AlgebraGens(d, gens)
 
@@ -245,3 +252,80 @@ def test_intersection_and_containment_match_projector_reference(blocks):
         v = mat.ravel()
         reference = np.linalg.norm(v - pa @ v) <= 1e-10 * max(np.linalg.norm(v), 1.0)
         assert span_contains(alg, mat) == reference
+
+
+_block_structures = st.lists(st.tuples(st.integers(1, 4), st.integers(1, 4)), min_size=1, max_size=3).filter(
+    lambda blocks: 2 <= sum(n * m for n, m in blocks) <= 10
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(_block_structures, st.integers(0, 2**32 - 1), st.floats(0.1, 3.0))
+def test_real_algebra_matches_its_complex_phase(blocks, seed, theta):
+    # the same generators times a unit phase generate the same algebra, on
+    # the complex path; span, commutant and double commutant must agree
+    real = _rotated_block_algebra(blocks, seed, real=True)
+    phased = AlgebraGens(real.dim, [np.exp(1j * theta) * g for g in real.generators])
+    algs = []
+    for gens in (real, phased):
+        alg = algebra_span(gens)
+        comm = commutant_basis(alg)
+        algs.append((alg, comm, commutant_basis(comm)))
+    assert [a.basis.dtype for a in algs[0]] == [np.float64] * 3
+    assert [a.basis.dtype for a in algs[1]] == [np.complex128] * 3
+    for a, b in zip(*algs):
+        assert a.size == b.size
+        assert np.max(np.abs(_projector(a) - _projector(b))) <= 1e-12
+
+
+def _ladder_generator():
+    sp = FockSpace(3)
+    return vee(annihilation(sp), identity(sp)).to_dense()
+
+
+@pytest.mark.parametrize(
+    "gens, dtype",
+    [
+        ([np.diag([1.0, 2.0, 3.0]), np.eye(3, k=1)], np.float64),
+        ([np.arange(9).reshape(3, 3)], np.float64),
+        ([np.eye(3, k=1).astype(complex), np.diag([1.0, 2.0, 3.0])], np.float64),
+        ([_ladder_generator()], np.float64),
+        ([np.diag([1.0, 2.0, 3.0]), np.eye(3, k=1) + 1e-3j * np.eye(3, k=-1)], np.complex128),
+        ([1j * np.diag([1.0, 2.0, 3.0])], np.complex128),
+    ],
+    ids=["real", "integer", "zero-imag-complex", "to-dense", "complex", "imaginary"],
+)
+def test_field_follows_the_generators(gens, dtype):
+    # real, integer and zero-imaginary complex generators stay in float64;
+    # any nonzero imaginary part makes the whole lab complex
+    alg = algebra_span(AlgebraGens(len(gens[0]), gens))
+    comm = commutant_basis(alg)
+    assert {g.dtype for g in AlgebraGens(len(gens[0]), gens).generators} == {np.dtype(dtype)}
+    assert alg.basis.dtype == comm.basis.dtype == commutant_basis(comm).basis.dtype == dtype
+
+
+def test_commutant_is_solved_once(monkeypatch):
+    alg = algebra_span(_rotated_block_algebra(((2, 1), (1, 2)), 4))
+    comm = commutant_basis(alg)
+    assert commutant_basis(alg) is comm
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda *a, **k: calls.append(1) or eigh(*a, **k))
+    assert not is_factor(alg)
+    assert calls == []
+    # the double commutant is solved from A', never taken to be A
+    assert commutant_basis(comm) is not alg and len(calls) == 1
+
+
+def test_basis_is_frozen():
+    source = np.array([np.eye(2) / np.sqrt(2)])
+    alg = AlgebraBasis(2, source)
+    comm = commutant_basis(alg)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        alg.basis = np.zeros((1, 2, 2))
+    with pytest.raises(ValueError, match="read-only"):
+        alg.basis[0, 0, 0] = 0.0
+    # the basis is a copy: the caller's array stays writable and detached
+    source[0, 0, 1] = 1.0
+    assert np.array_equal(alg.basis[0], np.eye(2) / np.sqrt(2))
+    assert commutant_basis(alg) is comm and comm.size == 4
