@@ -35,7 +35,7 @@ import numpy as np
 from .fock import FockSpace, Operator, annihilation, displacement_stack, identity
 from .hs_space import SuperOp, basis_element, block_indices, vee
 from .quadrature import QuadratureScheme
-from .thermal import safe_radius
+from .thermal import _column_block_norm, safe_radius
 
 __all__ = [
     "LandauParams",
@@ -291,14 +291,12 @@ def husimi_trace_residual(p: LandauParams, beta: float, scheme: QuadratureScheme
     """
     g_plus, g_minus = _sector_gaps(p, beta)
     s = (-math.expm1(-g_plus), -math.expm1(-g_minus))
-    count = scheme.angular_count
-    ring_weights = scheme.weights[::count] * (count / (2.0 * math.pi))
     sector_vals = []
     for which, scale in enumerate(s):
         radii = np.sqrt(scheme.radial_nodes / scale)
         pair = (radii, 0.0) if which == 0 else (0.0, radii)
         vals = husimi(p, beta, *pair) / s[1 - which]
-        sector_vals.append(float(np.sum(ring_weights / scale * vals)))
+        sector_vals.append(float(np.sum(scheme.ring_weights / scale * vals)))
     return abs(sector_vals[0] * sector_vals[1] - 1.0)
 
 
@@ -347,12 +345,14 @@ def project_hol(f, scheme: QuadratureScheme, z: complex) -> complex:
     """Holomorphic projection (1/pi) integral e^(z conj(w)) f(w) e^(-|w|^2) d^2w.
 
     Reproduces holomorphic polynomials of degree within the scheme's
-    exactness range: project_hol(w -> w^k)(z) = z^k.
+    exactness range: project_hol(w -> w^k)(z) = z^k.  The black box f is
+    evaluated on every node; each ring's sum is weighted by ring_weights / A.
     """
     ws = scheme.z_nodes
     vals = np.asarray(f(ws), dtype=complex)
     kernel = np.exp(z * ws.conj()) * np.exp(-np.abs(ws) ** 2)
-    return complex(np.sum(scheme.weights / (2.0 * math.pi) * kernel * vals))
+    rings = (kernel * vals).reshape(-1, scheme.angular_count).sum(axis=1)
+    return complex(rings @ (scheme.ring_weights / scheme.angular_count))
 
 
 # -- uncertainties of the right-action quadratures ------------------------
@@ -440,8 +440,8 @@ def tensor_resolution_residual(space: FockSpace, scheme: QuadratureScheme, max_l
     e = np.eye(n)[:, keep]
     sector, eye = np.kron(p, p), np.kron(e, e)
     if n**4 <= 4096:
-        return float(np.linalg.norm(np.kron(sector, sector) - np.kron(eye, eye), 2))
-    r = float(np.linalg.norm(sector - eye, 2))
+        return _column_block_norm(np.kron(sector, sector) - np.kron(eye, eye))
+    r = _column_block_norm(sector - eye)
     return r * (1.0 + r) + r
 
 

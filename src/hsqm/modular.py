@@ -170,11 +170,11 @@ class ModularData:
 
 def modular_operator(md: ModularData) -> SuperOp:
     """Delta : X -> rho X rho^(-1); positive with spectrum {l_n / l_m}."""
-    return vee(Operator(md.space, md.rho_power(1.0)), Operator(md.space, md.rho_power(-1.0)))
+    return delta_power(md, 1.0)
 
 
-def delta_power(md: ModularData, s: float) -> SuperOp:
-    """Delta^s : X -> rho^s X rho^(-s)."""
+def delta_power(md: ModularData, s: complex) -> SuperOp:
+    """Delta^s : X -> rho^s X rho^(-s) for complex s (s = it: the modular flow)."""
     left = Operator(md.space, md.rho_power(s))
     right = Operator(md.space, md.rho_power(-np.conj(s)))  # adjoint inside vee
     return vee(left, right)
@@ -219,12 +219,9 @@ def polar_check(md: ModularData) -> float:
 
 
 def modular_flow(md: ModularData, t: float) -> SuperOp:
-    """sigma_t : A -> rho^(it) A rho^(-it).
-
-    A one-parameter group that leaves the state Tr[rho .] invariant.
-    """
-    u = Operator(md.space, md.rho_power(1j * t))
-    return vee(u, u)
+    """sigma_t = Delta^(it) : A -> rho^(it) A rho^(-it), a one-parameter
+    group that leaves the state Tr[rho .] invariant."""
+    return delta_power(md, 1j * t)
 
 
 def kms_residual(md: ModularData, a: Operator, b: Operator, t: float) -> float:

@@ -17,12 +17,14 @@ phase per charge c = m - n.  The sum of e^(i (c - c') phi_a) over the A
 uniform angles is A when c = c' (mod A) and 0 otherwise, exactly, for any
 A >= 3: frame and Gram sums over the nodes keep only entries whose charges
 agree mod A, each weighted by its ring.  Schemes with fewer than 2N - 1
-angles alias charges that differ by A; the same rule covers them.
+angles alias charges that differ by A; the same rule covers them.  So the
+rule is stored as R rings, sum_r ring_weights[r] (2pi/A) sum_a f(z_(r,a))
+~ integral f dx dy; the K nodes exist only for black-box integrands.
 """
 
 from __future__ import annotations
 
-import math
+import numbers
 
 import numpy as np
 from scipy.special import roots_laguerre
@@ -33,16 +35,16 @@ __all__ = ["QuadratureScheme"]
 
 
 class QuadratureScheme:
-    """Product rule over the phase plane.
+    """Product rule over the phase plane: R rings of A uniform angles,
+    integer sizes.  sum_r ring_weights[r] (2pi/A) sum_a f(z_(r,a))
+    approximates  integral f dx dy  (= 2 * integral f d^2 z); ``z_nodes``
+    lists the K = R * A nodes ring by ring, for black-box integrands."""
 
-    ``weights`` are normalized so that  sum_k weights[k] * f(z_k)
-    approximates the plain plane integral  integral f dx dy
-    (equivalently 2 * integral f d^2 z).
-    """
-
-    __slots__ = ("radial_nodes", "radial_weights", "angular_count", "z_nodes", "weights")
+    __slots__ = ("radial_nodes", "ring_weights", "angular_count", "z_nodes")
 
     def __init__(self, radial_count: int, angular_count: int):
+        if not all(isinstance(count, numbers.Integral) for count in (radial_count, angular_count)):
+            raise ValueError("quadrature sizes must be integers")
         if radial_count < 1:
             raise ValueError("need at least one radial node")
         if angular_count < 3:
@@ -51,14 +53,11 @@ class QuadratureScheme:
         if not np.all(w > 0):
             raise ValueError("radial weights must be positive")
         self.radial_nodes = t
-        self.radial_weights = w
         self.angular_count = int(angular_count)
-
-        phi = 2.0 * np.pi * np.arange(angular_count) / angular_count
         # undo the e^{-t} Laguerre weight; stable through logs
-        radial = np.exp(np.log(w) + t) * (2.0 * np.pi / angular_count)
+        self.ring_weights = np.exp(np.log(w) + t)
+        phi = 2.0 * np.pi * np.arange(angular_count) / angular_count
         self.z_nodes = (np.sqrt(t)[:, None] * np.exp(1j * phi)[None, :]).ravel()
-        self.weights = np.repeat(radial, angular_count)
 
     @classmethod
     def default(cls, n_levels: int) -> "QuadratureScheme":
@@ -70,13 +69,10 @@ class QuadratureScheme:
         """True if the rule meets the minimum sizes for dimension N."""
         return len(self.radial_nodes) >= 2 * n_levels and self.angular_count >= 2 * n_levels + 1
 
-    def _radial_stack(self, space: FockSpace, mirrored: bool = False) -> np.ndarray:
-        """The R real radial matrices D(sqrt(t_r)), shape (R, N, N); the
-        node z = sqrt(t_r) e^(i phi) has D(z)_mn = e^(i(m-n) phi) D(sqrt(t_r))_mn.
-        ``mirrored`` gives D(-sqrt(t_r)) = (-1)^(m-n) D(sqrt(t_r)), the rings
-        of the reflected nodes -z."""
-        radii = np.sqrt(self.radial_nodes)
-        return displacement_stack(space, -radii if mirrored else radii).real
+    def _radial_stack(self, space: FockSpace) -> np.ndarray:
+        """The R real radial matrices D(sqrt(t_r)), shape (R, N, N); D at
+        sqrt(t_r) e^(i phi) scales entry mn by e^(i(m-n) phi), at -sqrt(t_r) by (-1)^(m-n)."""
+        return displacement_stack(space, np.sqrt(self.radial_nodes)).real
 
     def _radial_column(self, space: FockSpace) -> np.ndarray:
         """Column 0 of the radial matrices, <n|sqrt(t_r)>, shape (R, N): R * N entries."""
@@ -84,9 +80,9 @@ class QuadratureScheme:
         return _closed_form_entries(np.sqrt(self.radial_nodes).astype(complex), support).real
 
     def _ring_gram(self, mats: np.ndarray, columns: np.ndarray | None = None) -> np.ndarray:
-        """(1/2pi) sum_k w_k vec(M_k) vec(M_k)^† over the nodes, where
-        M_k = e^(i(m-n) phi_k) mats[r] on the ring r of node k and (m, n)
-        indexes the last two axes of ``mats`` (shape (R, M, M')).
+        """The node sum (1/2pi) integral vec(M) vec(M)^† dx dy, where
+        M = e^(i(m-n) phi_a) mats[r] at node (r, a) and (m, n) indexes the
+        last two axes of ``mats`` (shape (R, M, M')).
 
         Only pairs of entries whose charges m - n agree mod A survive the
         angular sum.  Real, shape (M*M', M*M'), or (M*M', C) for C ``columns``.
@@ -95,9 +91,8 @@ class QuadratureScheme:
         rings, rows, cols = mats.shape
         charge = np.subtract.outer(np.arange(rows), np.arange(cols)).ravel() % count
         vecs = mats.reshape(rings, rows * cols)
-        ring_weights = self.weights[::count] * (count / (2.0 * math.pi))
         keep = slice(None) if columns is None else columns
-        gram = (vecs.T * ring_weights) @ vecs[:, keep]
+        gram = (vecs.T * self.ring_weights) @ vecs[:, keep]
         return np.where(charge[:, None] == charge[keep], gram, 0.0)
 
     def xy_nodes(self) -> tuple[np.ndarray, np.ndarray]:

@@ -87,11 +87,18 @@ def resolution_operator(
     K = R * A node states: the angular sum keeps only entries whose
     charges m - n agree mod A, so the matrix is block-sparse by charge
     (see :mod:`hsqm.quadrature`).  The radial states are real, so the
-    assembled matrix is real too.
+    assembled matrix is real too; the reflected family is that stack
+    times the charge sign (-1)^(m-n).
     """
     sqrt_lam = np.sqrt(np.diag(gibbs_density(space, spec).mat).real)
-    states = scheme._radial_stack(space, mirrored) * sqrt_lam  # D(±sqrt(t_r)) @ diag(sqrt(lambda))
+    sign = (-1.0) ** np.add.outer(np.arange(space.dim), np.arange(space.dim)) if mirrored else 1.0
+    states = scheme._radial_stack(space) * (sqrt_lam * sign)  # D(±sqrt(t_r)) @ diag(sqrt(lambda))
     return scheme._ring_gram(states, None if max_level is None else block_indices(space, max_level))
+
+
+def _column_block_norm(block: np.ndarray) -> float:
+    """Operator 2-norm of a real column block D, sqrt(lambda_max(D^T D)) from its small Gram."""
+    return math.sqrt(max(np.linalg.eigvalsh(block.T @ block)[-1], 0.0))
 
 
 def _right_weight_deviation(
@@ -110,7 +117,7 @@ def _right_weight_deviation(
     deviation = resolution_operator(space, spec, scheme, mirrored, max_level)
     # the reference is diagonal: entry n*N + l carries weights[l]
     deviation[cols, np.arange(cols.size)] -= weights[cols % space.dim]
-    return math.sqrt(max(np.linalg.eigvalsh(deviation.T @ deviation)[-1], 0.0))
+    return _column_block_norm(deviation)
 
 
 def resolution_residual(

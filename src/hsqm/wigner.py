@@ -104,7 +104,8 @@ def wigner_inverse(f: PhaseFunction, scheme: QuadratureScheme, space: FockSpace)
     vals = _grid_values(f, scheme).reshape(-1, count)
     n = space.dim
     phi = 2.0 * np.pi * np.arange(count) / count
-    per_charge = (vals @ np.exp(1j * np.outer(phi, np.arange(1 - n, n)))) * scheme.weights[::count, None]
+    node_weights = scheme.ring_weights * (2.0 * np.pi / count)
+    per_charge = (vals @ np.exp(1j * np.outer(phi, np.arange(1 - n, n)))) * node_weights[:, None]
     charge = np.subtract.outer(np.arange(n), np.arange(n)) + n - 1
     mat = np.einsum("rmn,rmn->mn", per_charge[:, charge], scheme._radial_stack(space))
     return Operator(space, mat / math.sqrt(2.0 * math.pi))

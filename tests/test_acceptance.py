@@ -44,6 +44,7 @@ from hsqm.modular import ModularData, kms_residual, polar_check, tomita_s
 from hsqm.quadrature import QuadratureScheme
 from hsqm.thermal import resolution_operator, s_beta_reflection, safe_radius
 from hsqm.wigner import wigner_function, wigner_inverse
+from node_weights import node_weights
 
 from scipy.special import gammaln
 
@@ -144,7 +145,7 @@ def test_c04_wigner_unitarity_and_round_trip():
     stack = displacement_stack(sp, scheme.z_nodes)
     block = [(a, b) for a in range(half) for b in range(half)]
     vecs = np.array([stack[:, a, b].conj() for a, b in block]) / math.sqrt(2 * math.pi)
-    gram = (vecs * scheme.weights[None, :]) @ vecs.conj().T
+    gram = (vecs * node_weights(scheme)[None, :]) @ vecs.conj().T
     gram_dev = float(np.max(np.abs(gram - np.eye(len(block)))))
 
     rng = np.random.default_rng(77)

@@ -101,6 +101,33 @@ def test_generated_configuration_reports_or_rejects(command, n, values):
     _check_run(_with_flags([command, "--N", str(n)], values))
 
 
+SCHEME_COMMANDS = ("husimi", "resolution", "wigner", "kernel")
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(SCHEME_COMMANDS), st.integers(4, 12), st.data(), st.booleans())
+def test_generated_scheme_reports_or_rejects(command, n, data, allow_small):
+    # --allow-small admits aliased schemes (A < 2N - 1), where charges that
+    # differ by A share a ring sum and the mirrored family picks up a sign
+    radial = data.draw(st.integers(1, 3 * n), label="radial")
+    angular = data.draw(st.integers(1, 5 * n), label="angular")
+    argv = [command, "--N", str(n), "--radial-nodes", str(radial), "--angular-nodes", str(angular)]
+    code, result = _check_run(argv + ["--allow-small"] * allow_small)
+    if angular < 3:
+        assert code == 2 and "need at least three angular nodes" in result["error"]
+    elif not allow_small and (radial < 2 * n or angular < 2 * n + 1):
+        assert code == 2 and "quadrature sizes below defaults" in result["error"]
+    else:
+        assert code in (0, 1)
+
+
+@pytest.mark.parametrize("command", SCHEME_COMMANDS)
+def test_aliased_schemes_report(command):
+    for angular in (3, 4, 5, 8):  # A < 2N - 1 at N = 8, odd and even
+        code, _ = _check_run([command, "--N", "8", "--angular-nodes", str(angular), "--allow-small"])
+        assert code in (0, 1)
+
+
 def test_commutant_default_reports_contracts():
     code, doc = _check_run(["commutant"])
     assert code == 0

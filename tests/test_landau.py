@@ -33,7 +33,8 @@ from hsqm.landau import (
     uncertainty_report,
 )
 from hsqm.quadrature import QuadratureScheme
-from hsqm.thermal import safe_radius
+from hsqm.thermal import _column_block_norm, safe_radius
+from node_weights import node_weights
 
 DEFAULT = LandauParams(mass=1.0, omega0=1.0, omega_c=2.0, theta=0.1)
 
@@ -319,14 +320,14 @@ def _husimi_trace_residual_on_grid(p, beta, scheme):
     """The trace residual summed over every (ring, angle) node."""
     freq = chiral_frequencies(p)
     s = (-math.expm1(-beta * p.hbar * freq.Omega_plus), -math.expm1(-beta * p.hbar * freq.Omega_minus))
-    t, w, m = scheme.radial_nodes, scheme.radial_weights, scheme.angular_count
+    t, m = scheme.radial_nodes, scheme.angular_count
     phases = np.exp(2j * np.pi * np.arange(m) / m)
     sector_vals = []
     for which, scale in enumerate(s):
         zs = np.sqrt(t / scale)[:, None] * phases[None, :]
         pair = (zs, 0.0) if which == 0 else (0.0, zs)
         vals = husimi(p, beta, *pair) / s[1 - which]
-        weights = (np.exp(np.log(w) + t) / (scale * m))[:, None]
+        weights = node_weights(scheme).reshape(-1, m) / (2 * math.pi * scale)
         sector_vals.append(float(np.sum(weights * vals)))
     return abs(sector_vals[0] * sector_vals[1] - 1.0)
 
@@ -477,7 +478,7 @@ FRAME_CASES = [(n, *sizes) for n in (4, 6, 8) for sizes in _scheme_sizes(n)]
 
 def _node_vectors(sp, scheme):
     """Rows <n|z_k> over every node, and the node weights / 2 pi."""
-    return displacement_stack(sp, scheme.z_nodes)[:, :, 0], scheme.weights / (2 * math.pi)
+    return displacement_stack(sp, scheme.z_nodes)[:, :, 0], node_weights(scheme) / (2 * math.pi)
 
 
 @pytest.mark.parametrize("n, radial, angular", FRAME_CASES)
@@ -522,7 +523,8 @@ def test_diagonal_cs_channel_matches_node_sum(n, radial, angular):
 def test_tensor_resolution_residual_matches_full_kron(n, max_level):
     # the sector operator is kron(P, P) sliced to the block columns; up to
     # N^4 = 4096 the two-sector residual is exact, above it the triangle
-    # bound.  Kronning only the block columns of P must not move a bit.
+    # bound.  Kronning only the block columns of P must not move a bit, and
+    # the norm from the column Gram must agree with the SVD norm.
     sp = FockSpace(n)
     cols = block_indices(sp, n // 4 if max_level is None else max_level)
     for radial, angular in _scheme_sizes(n):
@@ -530,9 +532,8 @@ def test_tensor_resolution_residual_matches_full_kron(n, max_level):
         frame = classical_frame(sp, scheme)
         sector = np.kron(frame, frame)[:, cols]
         eye = np.eye(n * n)[:, cols]
-        if n**4 <= 4096:
-            reference = float(np.linalg.norm(np.kron(sector, sector) - np.kron(eye, eye), 2))
-        else:
-            r = float(np.linalg.norm(sector - eye, 2))
-            reference = r * (1.0 + r) + r
+        deviation = np.kron(sector, sector) - np.kron(eye, eye) if n**4 <= 4096 else sector - eye
+        r, svd_r = _column_block_norm(deviation), float(np.linalg.norm(deviation, 2))
+        assert r == pytest.approx(svd_r, rel=1e-14, abs=0.0)
+        reference = r if n**4 <= 4096 else r * (1.0 + r) + r
         assert tensor_resolution_residual(sp, scheme, max_level) == reference
