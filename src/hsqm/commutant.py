@@ -43,7 +43,7 @@ class AlgebraGens:
     """Generating set for a unital *-algebra of d x d matrices."""
 
     dim: int
-    generators: list = field(default_factory=list)
+    generators: list
 
     def __post_init__(self):
         gens = [np.asarray(g) for g in self.generators]
@@ -151,10 +151,10 @@ def intersection_dimension(a: AlgebraBasis, b: AlgebraBasis) -> int:
     return int(np.sum(cosines * cosines > 0.5))
 
 
-def span_contains(alg: AlgebraBasis, mat: np.ndarray, tol: float = 1e-10) -> bool:
-    """True if the matrix lies in the algebra's span up to tolerance."""
+def span_contains(alg: AlgebraBasis, mat: np.ndarray) -> bool:
+    """True if the matrix lies in the algebra's span, up to the relative rank cutoff."""
     v = np.ravel(mat)
-    return bool(_outside(_rows(alg), v) <= tol * max(np.linalg.norm(v), 1.0))
+    return bool(_outside(_rows(alg), v) <= _RANK_TOL * max(np.linalg.norm(v), 1.0))
 
 
 def is_factor(alg: AlgebraBasis) -> bool:

@@ -193,8 +193,11 @@ def _closed_form_entries(alphas: np.ndarray, support: tuple[np.ndarray, ...]) ->
     The factor sqrt(n!/m!) |a|^|m-n| e^(-|a|^2/2) is formed in log
     space inside one exponential, so it stays finite where |a|^|m-n| alone
     would overflow (large N); the phase (a/|a|)^(m-n), with the sign
-    (-1)^|m-n| of the m < n entries, is taken per charge m - n.
+    (-1)^|m-n| of the m < n entries, is taken per charge m - n.  A
+    non-finite label raises ``ValueError``.
     """
+    if not np.isfinite(alphas).all():
+        raise ValueError("displacement labels must be finite")
     lo, k, log_ratio, pair, charges, charge = support
     r = np.abs(alphas)
     nonzero = r > 0
@@ -214,6 +217,12 @@ def _closed_form_entries(alphas: np.ndarray, support: tuple[np.ndarray, ...]) ->
     entries = phase[charge]
     entries *= mag[pair]
     return entries.T
+
+
+def _coherent_columns(n_levels: int, alphas: np.ndarray) -> np.ndarray:
+    """Column 0 of D(a), the coherent vectors <n|a> for n < n_levels, per label: shape (K, N)."""
+    support = _closed_form_support(np.arange(n_levels), np.zeros(n_levels, int), n_levels)
+    return _closed_form_entries(np.atleast_1d(np.asarray(alphas, dtype=complex)), support)
 
 
 def displacement_stack(space: FockSpace, alphas: np.ndarray) -> np.ndarray:
@@ -239,8 +248,6 @@ def displacement(space: FockSpace, alpha: complex) -> Operator:
     Unitary up to truncation; see :func:`displacement_stack` for the
     entrywise closed form used.
     """
-    if not np.isfinite(alpha):
-        raise ValueError("displacement label must be finite")
     return Operator(space, displacement_stack(space, np.array([alpha]))[0])
 
 

@@ -26,8 +26,6 @@ __all__ = [
     "hs_norm",
     "basis_element",
     "vee",
-    "left_action",
-    "right_action",
     "block_indices",
 ]
 
@@ -130,12 +128,3 @@ def vee(a: Operator, b: Operator) -> SuperOp:
         raise ValueError("operators live on different Fock spaces")
     return SuperOp(a.space, pairs=[(a.mat, b.mat)])
 
-
-def left_action(a: Operator) -> SuperOp:
-    """Left multiplication X -> A X, i.e. A ∨ I."""
-    return vee(a, Operator(a.space, np.eye(a.space.dim)))
-
-
-def right_action(a: Operator) -> SuperOp:
-    """Right multiplication X -> X A, i.e. I ∨ A†."""
-    return vee(Operator(a.space, np.eye(a.space.dim)), a.dag())

@@ -19,7 +19,7 @@ Conventions: hbar is explicit in the dynamical quantities; the
 lowest-level wavefunctions use the magnetic length l0 = 1.
 
 Every coherent vector <n|z> = e^(-|z|^2/2) z^n / sqrt(n!) is column 0 of
-the closed-form D(z) of :func:`hsqm.fock.displacement_stack`, and every
+the closed-form D(z), computed on that column alone, and every
 phase-plane frame is summed ring by ring through the polar identity of
 :mod:`hsqm.quadrature` (R real radial vectors and the mod-A charge rule),
 not over the K = R * A nodes; the frames come out real.
@@ -32,8 +32,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .fock import FockSpace, Operator, annihilation, displacement_stack, identity
-from .hs_space import SuperOp, basis_element, block_indices, vee
+from .fock import FockSpace, Operator, _coherent_columns, annihilation, identity
+from .hs_space import SuperOp, basis_element, vee
 from .quadrature import QuadratureScheme
 from .thermal import _column_block_norm, safe_radius
 
@@ -214,14 +214,9 @@ def apply_chiral_ladder(state: TensorState, sector: str, raising: bool) -> Tenso
 
 
 def apply_hamiltonian(p: LandauParams, state: TensorState) -> TensorState:
-    """(H+ (x) 1 + 1 (x) H-), each H_± = hbar O_± (N + 1/2) acting on the
-    ket index n_± alone: every |n±><m±| is an eigenvector, independent of m±."""
-    freq = chiral_frequencies(p)
-    n = np.arange(state.space.dim) + 0.5
-    e_plus = p.hbar * freq.Omega_plus * n
-    e_minus = p.hbar * freq.Omega_minus * n
-    c = state.coeffs
-    return TensorState(state.space, e_plus[:, None, None, None] * c + e_minus[None, None, :, None] * c)
+    """(H+ (x) 1 + 1 (x) H-) with H_± = hbar O_± (N + 1/2) on the ket index n_±:
+    every |n±><m±| is an eigenvector, of :func:`spectrum` energy E[n+, n-]."""
+    return TensorState(state.space, spectrum(p, state.space.dim)[:, None, :, None] * state.coeffs)
 
 
 def tensor_cs(space: FockSpace, z_plus: complex, z_minus: complex) -> TensorState:
@@ -234,7 +229,7 @@ def tensor_cs(space: FockSpace, z_plus: complex, z_minus: complex) -> TensorStat
     bound = safe_radius(space)
     if abs(z_plus) > bound or abs(z_minus) > bound:
         raise ValueError(f"coherent labels must stay inside the safe disc |z| <= {bound:.3f}")
-    plus, minus = displacement_stack(space, [z_plus, z_minus])[:, :, 0]
+    plus, minus = _coherent_columns(space.dim, [z_plus, z_minus])
     coeffs = np.multiply.outer(np.outer(plus, plus.conj()), np.outer(minus, minus.conj()))
     return TensorState(space, coeffs)
 
@@ -260,7 +255,10 @@ def husimi(
 
     equivalently the product of two oscillator Husimi distributions with
     mean occupations n_± = 1/(e^(b h O_±) - 1).  z_plus and z_minus may be
-    arrays; the result broadcasts over them."""
+    arrays; the result broadcasts over them.  Non-finite labels raise
+    ``ValueError``."""
+    if not (np.isfinite(z_plus).all() and np.isfinite(z_minus).all()):
+        raise ValueError("coherent labels must be finite")
     g_plus, g_minus = _sector_gaps(p, beta)
     s_plus = -math.expm1(-g_plus)
     s_minus = -math.expm1(-g_minus)
@@ -311,11 +309,11 @@ def lll_state(m: int, z_plus: complex) -> complex:
 
 
 def lll_overlap(m: int, z_tilde: complex) -> complex:
-    """Coherent overlap form <m|z> = e^(-|z|^2/2) z^m / sqrt(m!), read off
-    column 0 of D(z) (a Fock space has at least two levels)."""
+    """Coherent overlap form <m|z> = e^(-|z|^2/2) z^m / sqrt(m!), entry m
+    of column 0 of D(z)."""
     if m < 0:
         raise ValueError("angular index must be nonnegative")
-    return complex(displacement_stack(FockSpace(m + 2), z_tilde)[0, m, 0])
+    return complex(_coherent_columns(m + 1, z_tilde)[0, m])
 
 
 def lll_projector(space: FockSpace) -> SuperOp:
@@ -326,12 +324,13 @@ def lll_projector(space: FockSpace) -> SuperOp:
 
 
 def reproducing_kernel(space: FockSpace, z: complex, z_prime: complex) -> complex:
-    """Kernel from the projector matrix elements.
-
-    Equals the truncated exponential series sum_(m<N) (z conj(z'))^m / m!,
-    the Gaussian-weight reproducing kernel e^(z conj(z')) up to the
-    truncation tail.
+    """The truncated exponential series sum_(m<N) (z conj(z'))^m / m!,
+    summed term by term: the Gaussian-weight reproducing kernel
+    e^(z conj(z')) up to the truncation tail.  Non-finite labels raise
+    ``ValueError``.
     """
+    if not (np.isfinite(z) and np.isfinite(z_prime)):
+        raise ValueError("kernel labels must be finite")
     w = complex(z) * np.conj(z_prime)
     total = 0.0 + 0.0j
     term = 1.0 + 0.0j
@@ -347,7 +346,10 @@ def project_hol(f, scheme: QuadratureScheme, z: complex) -> complex:
     Reproduces holomorphic polynomials of degree within the scheme's
     exactness range: project_hol(w -> w^k)(z) = z^k.  The black box f is
     evaluated on every node; each ring's sum is weighted by ring_weights / A.
+    A non-finite z raises ``ValueError``.
     """
+    if not np.isfinite(z):
+        raise ValueError("projection point must be finite")
     ws = scheme.z_nodes
     vals = np.asarray(f(ws), dtype=complex)
     kernel = np.exp(z * ws.conj()) * np.exp(-np.abs(ws) ** 2)
@@ -424,9 +426,9 @@ def classical_frame(space: FockSpace, scheme: QuadratureScheme) -> np.ndarray:
     return scheme._ring_gram(scheme._radial_column(space)[:, :, None])
 
 
-def tensor_resolution_residual(space: FockSpace, scheme: QuadratureScheme, max_level: int | None = None) -> float:
+def tensor_resolution_residual(space: FockSpace, scheme: QuadratureScheme) -> float:
     """Deviation of the two-sector resolution from the identity on the
-    block of states with all four indices <= max_level (default N/4).
+    block of states with all four indices <= N/4.
 
     Each sector resolves as the sandwich X -> P X P of the classical frame
     P, dense form kron(P, P) (P is real), whose block columns are the
@@ -434,8 +436,7 @@ def tensor_resolution_residual(space: FockSpace, scheme: QuadratureScheme, max_l
     operator is formed; otherwise the sector deviations are combined
     into the exact triangle bound r+ (1 + r-) + r-."""
     n = space.dim
-    cols = block_indices(space, n // 4 if max_level is None else max_level)
-    keep = cols[cols < n]  # row 0 of the block, 0*N + l: its levels
+    keep = np.arange(n // 4 + 1)
     p = classical_frame(space, scheme)[:, keep]
     e = np.eye(n)[:, keep]
     sector, eye = np.kron(p, p), np.kron(e, e)

@@ -108,7 +108,8 @@ class ModularData:
     1e-14 of the largest are rejected as non-faithful rather than
     regularized: the modular objects need rho invertible, and silently
     flooring eigenvalues would mask modeling errors.  A supplied
-    Hamiltonian must have rho as its Gibbs state at beta.
+    Hamiltonian must have rho as its Gibbs state at beta; a derived one,
+    -(1/beta) ln(rho), lives on rho's own eigenvectors.
     """
 
     __slots__ = ("space", "rho", "beta", "_evals", "_evecs", "_ham_evals", "_ham_evecs")
@@ -137,15 +138,15 @@ class ModularData:
         self._evecs = evecs
 
         if hamiltonian is None:
-            # Gibbs convention: H = -(1/beta) ln(rho), so e^{-beta H} = rho.
-            hamiltonian = Operator(rho.space, _spectral(evecs, -np.log(evals) / beta))
+            # Gibbs convention: H = -(1/beta) ln(rho) on rho's eigenvectors, so e^{-beta H} = rho.
+            self._ham_evals, self._ham_evecs = -np.log(evals) / self.beta, evecs
         elif hamiltonian.space != rho.space:
             raise ValueError("Hamiltonian lives on a different Fock space")
-
-        self._ham_evals, self._ham_evecs = _eig(hamiltonian.mat)
-        boltz = np.exp(-self.beta * self._ham_evals)
-        if np.linalg.norm(mat - _spectral(self._ham_evecs, boltz / boltz.sum())) > 1e-10:
-            raise ValueError("density is not the Gibbs state of the stored Hamiltonian")
+        else:
+            self._ham_evals, self._ham_evecs = _eig(hamiltonian.mat)
+            boltz = np.exp(-self.beta * self._ham_evals)
+            if np.linalg.norm(mat - _spectral(self._ham_evecs, boltz / boltz.sum())) > 1e-10:
+                raise ValueError("density is not the Gibbs state of the stored Hamiltonian")
 
     @classmethod
     def from_thermal(cls, space: FockSpace, spec: ThermalSpec) -> "ModularData":
@@ -234,10 +235,12 @@ def kms_residual(md: ModularData, a: Operator, b: Operator, t: float) -> float:
 
     exactly (:class:`ModularData` checks the pairing once, at
     construction); the returned residual is the absolute difference of
-    the two traces.
+    the two traces.  A non-finite t raises ``ValueError``.
     """
     if a.space != md.space or b.space != md.space:
         raise ValueError("operators live on a different Fock space")
+    if not np.isfinite(t):
+        raise ValueError("KMS time must be finite")
     rho = md.rho.mat
 
     def flow(mat: np.ndarray, z: complex) -> np.ndarray:

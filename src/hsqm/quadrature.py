@@ -29,7 +29,7 @@ import numbers
 import numpy as np
 from scipy.special import roots_laguerre
 
-from .fock import FockSpace, _closed_form_entries, _closed_form_support, displacement_stack
+from .fock import FockSpace, _coherent_columns, displacement_stack
 
 __all__ = ["QuadratureScheme"]
 
@@ -76,8 +76,7 @@ class QuadratureScheme:
 
     def _radial_column(self, space: FockSpace) -> np.ndarray:
         """Column 0 of the radial matrices, <n|sqrt(t_r)>, shape (R, N): R * N entries."""
-        support = _closed_form_support(np.arange(space.dim), np.zeros(space.dim, int), space.dim)
-        return _closed_form_entries(np.sqrt(self.radial_nodes).astype(complex), support).real
+        return _coherent_columns(space.dim, np.sqrt(self.radial_nodes)).real
 
     def _ring_gram(self, mats: np.ndarray, columns: np.ndarray | None = None) -> np.ndarray:
         """The node sum (1/2pi) integral vec(M) vec(M)^† dx dy, where

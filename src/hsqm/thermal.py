@@ -106,13 +106,12 @@ def _right_weight_deviation(
     spec: ThermalSpec,
     scheme: QuadratureScheme,
     mirrored: bool,
-    max_level: int | None,
     weights: np.ndarray,
 ) -> float:
     """Operator-norm distance between the assembled family and right
     multiplication by diag(weights) (dense form kron(I, diag(weights))),
-    on levels <= max_level (default N/4), from the M x M Gram D^T D."""
-    max_level = space.dim // 4 if max_level is None else max_level
+    on levels <= N/4, from the M x M Gram D^T D."""
+    max_level = space.dim // 4
     cols = block_indices(space, max_level)
     deviation = resolution_operator(space, spec, scheme, mirrored, max_level)
     # the reference is diagonal: entry n*N + l carries weights[l]
@@ -125,10 +124,9 @@ def resolution_residual(
     spec: ThermalSpec,
     scheme: QuadratureScheme,
     mirrored: bool = False,
-    max_level: int | None = None,
 ) -> float:
     """Operator-norm deviation of the assembled family from the identity,
-    restricted to inputs supported on levels <= max_level (default N/4).
+    restricted to inputs supported on levels <= N/4.
 
     The mathematical value of the assembled integral is right
     multiplication by rho_beta, so this residual is of order
@@ -136,7 +134,7 @@ def resolution_residual(
     diagnostic; see :func:`frame_operator_residual` for the residual
     against the true frame operator.
     """
-    return _right_weight_deviation(space, spec, scheme, mirrored, max_level, np.ones(space.dim))
+    return _right_weight_deviation(space, spec, scheme, mirrored, np.ones(space.dim))
 
 
 def frame_operator_residual(
@@ -144,13 +142,13 @@ def frame_operator_residual(
     spec: ThermalSpec,
     scheme: QuadratureScheme,
     mirrored: bool = False,
-    max_level: int | None = None,
 ) -> float:
     """Deviation of the assembled family from its closed-form frame
     operator, right multiplication by the Gibbs density (dense form
-    kron(I, rho_beta)); truncation-level small on the restricted block."""
+    kron(I, rho_beta)), on inputs supported on levels <= N/4;
+    truncation-level small there."""
     lam = np.diag(gibbs_density(space, spec).mat).real
-    return _right_weight_deviation(space, spec, scheme, mirrored, max_level, lam)
+    return _right_weight_deviation(space, spec, scheme, mirrored, lam)
 
 
 def s_beta_reflection(space: FockSpace, spec: ThermalSpec, z: complex) -> float:

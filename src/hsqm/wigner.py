@@ -58,7 +58,9 @@ class PhasePoint:
 
 
 def _z_of_xy(x, y):
-    return (np.asarray(y) - 1j * np.asarray(x)) / math.sqrt(2.0)
+    # 1j * inf is nan + inf j: the closed form, not a warning, rejects it
+    with np.errstate(invalid="ignore"):
+        return (np.asarray(y) - 1j * np.asarray(x)) / math.sqrt(2.0)
 
 
 def wigner_function(x: Operator) -> PhaseFunction:

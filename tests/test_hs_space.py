@@ -11,8 +11,6 @@ from hsqm.hs_space import (
     basis_element,
     hs_inner,
     hs_norm,
-    left_action,
-    right_action,
     vee,
 )
 
@@ -131,13 +129,14 @@ def test_left_right_actions_commute():
     a = annihilation(sp)
     b = _random_op(sp, rng)
     x = _random_op(sp, rng)
-    lhs = left_action(a)(right_action(b)(x))
-    rhs = right_action(b)(left_action(a)(x))
+    # left multiplication by A is A ∨ I, right multiplication by B is I ∨ B†
+    left, right = vee(a, identity(sp)), vee(identity(sp), b.dag())
+    lhs = left(right(x))
+    rhs = right(left(x))
     assert hs_norm(lhs - rhs) <= 1e-13 * max(hs_norm(lhs), 1)
+    assert np.max(np.abs(lhs.mat - a.mat @ x.mat @ b.mat)) <= 1e-13 * max(hs_norm(lhs), 1)
 
-    dense_comm = left_action(a).to_dense() @ right_action(b).to_dense() - right_action(b).to_dense() @ left_action(
-        a
-    ).to_dense()
+    dense_comm = left.to_dense() @ right.to_dense() - right.to_dense() @ left.to_dense()
     assert np.max(np.abs(dense_comm)) <= 1e-13
 
 
@@ -145,11 +144,11 @@ def test_ladder_actions_on_rank_one():
     sp = FockSpace(6)
     a = annihilation(sp)
     # left lowering of the ket index
-    out = left_action(a)(basis_element(sp, 3, 2))
+    out = vee(a, identity(sp))(basis_element(sp, 3, 2))
     assert out.mat[2, 2] == pytest.approx(math.sqrt(3))
     assert np.count_nonzero(out.mat) == 1
-    # right action raises the bra index with sqrt(n+1)
-    out = right_action(a)(basis_element(sp, 3, 2))
+    # right action X -> X a = (I ∨ a†)(X) raises the bra index with sqrt(n+1)
+    out = vee(identity(sp), a.dag())(basis_element(sp, 3, 2))
     assert out.mat[3, 3] == pytest.approx(math.sqrt(3))
     assert np.count_nonzero(out.mat) == 1
 

@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 from hsqm.fock import FockSpace, Operator, ThermalSpec, displacement, gibbs_density
 from hsqm.hs_space import basis_element, block_indices, hs_norm
-from hsqm.landau import tensor_resolution_residual
 from hsqm.quadrature import QuadratureScheme
 from hsqm.thermal import (
+    _column_block_norm,
     cs_overlap,
     frame_operator_residual,
     resolution_operator,
@@ -197,35 +197,35 @@ def test_block_columns_match_full_operator(n, radial, angular, mirrored):
     data=st.data(),
 )
 def test_residual_gram_norm_matches_dense_norm(n, omega, beta, angular, mirrored, data):
-    # sqrt of the top eigenvalue of D^T D against the SVD norm of D itself
+    # sqrt of the top eigenvalue of D^T D against the SVD norm of D itself,
+    # on a drawn block of resolution_operator and on the N/4 block, where
+    # the public residuals must give the same value
     max_level = data.draw(st.integers(0, n - 1), label="max_level")
     sp = FockSpace(n)
     spec = ThermalSpec(omega, beta)
     scheme = QuadratureScheme.default(n) if angular is None else QuadratureScheme(2 * n, angular)
     lam = np.diag(gibbs_density(sp, spec).mat).real
-    cols = block_indices(sp, max_level)
     for weights, residual in ((np.ones(n), resolution_residual), (lam, frame_operator_residual)):
-        deviation = resolution_operator(sp, spec, scheme, mirrored, max_level)
-        deviation[cols, np.arange(cols.size)] -= weights[cols % n]
-        dense = np.linalg.norm(deviation, 2)
-        assert residual(sp, spec, scheme, mirrored, max_level) == pytest.approx(dense, rel=1e-13, abs=0.0)
+        for level in (max_level, n // 4):
+            cols = block_indices(sp, level)
+            deviation = resolution_operator(sp, spec, scheme, mirrored, level)
+            deviation[cols, np.arange(cols.size)] -= weights[cols % n]
+            norm = _column_block_norm(deviation)
+            assert norm == pytest.approx(np.linalg.norm(deviation, 2), rel=1e-13, abs=0.0)
+        assert residual(sp, spec, scheme, mirrored) == norm
 
 
-@pytest.mark.parametrize("n", [5, 9])  # the tensor residual's exact path, then its triangle bound
+@pytest.mark.parametrize("n", [5, 9])
 def test_max_level_is_checked(n):
     # a negative max_level is an empty block, never a vacuous 0.0; from
     # N on, every level is kept
     sp = FockSpace(n)
     spec = ThermalSpec(1.0, 1.0)
     scheme = QuadratureScheme.default(n)
-    for residual in (
-        lambda m: resolution_residual(sp, spec, scheme, max_level=m),
-        lambda m: frame_operator_residual(sp, spec, scheme, mirrored=True, max_level=m),
-        lambda m: tensor_resolution_residual(sp, scheme, m),
-    ):
+    for mirrored in (False, True):
         for bad in (-1, -2, -n):
             with pytest.raises(ValueError, match="max_level"):
-                residual(bad)
-        assert residual(n) == residual(n - 1) == residual(50)
-    with pytest.raises(ValueError, match="max_level"):
-        resolution_operator(sp, spec, scheme, max_level=-1)
+                resolution_operator(sp, spec, scheme, mirrored, bad)
+        top = resolution_operator(sp, spec, scheme, mirrored, n - 1)
+        for level in (n, 50):
+            assert np.array_equal(resolution_operator(sp, spec, scheme, mirrored, level), top)
