@@ -41,9 +41,12 @@ def _landau_params(args) -> landau.LandauParams:
 
 
 def _scheme(args, n_levels: int) -> QuadratureScheme:
-    radial = args.radial_nodes if args.radial_nodes is not None else 2 * n_levels
-    angular = args.angular_nodes if args.angular_nodes is not None else 4 * n_levels + 1
-    scheme = QuadratureScheme(radial, angular)
+    # the default sizes, without building a default rule a flag replaces
+    radial, angular = QuadratureScheme._default_sizes(n_levels)
+    scheme = QuadratureScheme(
+        radial if args.radial_nodes is None else args.radial_nodes,
+        angular if args.angular_nodes is None else args.angular_nodes,
+    )
     if not (args.allow_small or scheme.adequate_for(n_levels)):
         raise ValueError(
             f"quadrature sizes below defaults for N={n_levels}; pass --allow-small to override"

@@ -20,18 +20,55 @@ agree mod A, each weighted by its ring.  Schemes with fewer than 2N - 1
 angles alias charges that differ by A; the same rule covers them.  So the
 rule is stored as R rings, sum_r ring_weights[r] (2pi/A) sum_a f(z_(r,a))
 ~ integral f dx dy; the K nodes exist only for black-box integrands.
+
+The radial rule is computed in numpy (Golub & Welsch, Math. Comp. 23, 221
+(1969)): the nodes are the eigenvalues of the Jacobi matrix of the
+Laguerre polynomials, polished by one Newton step on l_R / l_(R-1), where
+l_n(t) = e^(-t/2) L_n(t) comes from the normalized Laguerre recurrence of
+:mod:`hsqm.fock` at order 0 (with its log shift).  The ring weights are
+the Christoffel sums w_r e^(t_r) = 1 / sum_(n<R) l_n(t_r)^2, taken after
+the shift is removed, so the sum cannot overflow.  Against 50-digit
+values they are within 4.2e-14 relative at R <= 200, where the derivative
+formula t / (R l_(R-1))^2 is off by up to 3.0e-11, so it is not used.  The rule
+stays positive and finite up to R = 536 (the largest node below
+t = 2,100), which covers the default 2N rings to N = 268.
 """
 
 from __future__ import annotations
 
+import functools
 import numbers
 
 import numpy as np
-from scipy.special import roots_laguerre
 
-from .fock import FockSpace, _coherent_columns, displacement_stack
+from .fock import _T_MAX, FockSpace, _coherent_columns, _laguerre_functions, _step_coefficients, displacement_stack
 
 __all__ = ["QuadratureScheme"]
+
+
+def _ell(t: np.ndarray, count: int) -> np.ndarray:
+    """l_n(t) = e^(-t/2) L_n(t) = h_n^0(t) for n < count, shape (count, len(t))."""
+    steps = tuple(table[:, :, None] for table in _step_coefficients(count, [0]))
+    return _laguerre_functions(t, -t[None, :] / 2.0, steps)[:, 0]
+
+
+@functools.lru_cache(maxsize=16)
+def _laguerre_rule(radial_count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes t_r and ring weights w_r e^(t_r) of the R-point Gauss-Laguerre
+    rule (see the module docstring), read-only and shared."""
+    n = np.arange(radial_count, dtype=float)
+    t = np.linalg.eigvalsh(np.diag(2.0 * n + 1.0) + np.diag(n[1:], -1))
+    if t[-1] > _T_MAX:
+        raise ValueError(f"the radial rule is limited to nodes t <= {_T_MAX:g}; R = {radial_count} reaches {t[-1]:.0f}")
+    ell = _ell(t, radial_count + 1)
+    # t L_R' = R (L_R - L_(R-1)), so L_R / L_R' = t q / (R (q - 1)) with q = l_R / l_(R-1)
+    q = ell[-1] / ell[-2]
+    t -= t * q / (radial_count * (q - 1.0))
+    ell = _ell(t, radial_count)
+    ring = 1.0 / np.einsum("nr,nr->r", ell, ell)
+    for table in (t, ring):
+        table.setflags(write=False)
+    return t, ring
 
 
 class QuadratureScheme:
@@ -49,21 +86,22 @@ class QuadratureScheme:
             raise ValueError("need at least one radial node")
         if angular_count < 3:
             raise ValueError("need at least three angular nodes")
-        t, w = roots_laguerre(radial_count)
-        if not np.all(w > 0):
-            raise ValueError("radial weights must be positive")
+        t, self.ring_weights = _laguerre_rule(int(radial_count))
         self.radial_nodes = t
         self.angular_count = int(angular_count)
-        # undo the e^{-t} Laguerre weight; stable through logs
-        self.ring_weights = np.exp(np.log(w) + t)
         phi = 2.0 * np.pi * np.arange(angular_count) / angular_count
         self.z_nodes = (np.sqrt(t)[:, None] * np.exp(1j * phi)[None, :]).ravel()
+
+    @staticmethod
+    def _default_sizes(n_levels: int) -> tuple[int, int]:
+        """The radial and angular counts of :meth:`default`."""
+        return 2 * n_levels, 4 * n_levels + 1
 
     @classmethod
     def default(cls, n_levels: int) -> "QuadratureScheme":
         """2N radial and 4N+1 angular nodes: exact for overlaps of the
         first N levels with plenty of margin."""
-        return cls(2 * n_levels, 4 * n_levels + 1)
+        return cls(*cls._default_sizes(n_levels))
 
     def adequate_for(self, n_levels: int) -> bool:
         """True if the rule meets the minimum sizes for dimension N."""

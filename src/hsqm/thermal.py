@@ -31,7 +31,7 @@ import math
 
 import numpy as np
 
-from .fock import FockSpace, Operator, ThermalSpec, displacement, gibbs_density
+from .fock import FockSpace, Operator, ThermalSpec, displacement_stack, gibbs_density
 from .hs_space import block_indices, hs_norm
 from .modular import ModularData, tomita_s
 from .quadrature import QuadratureScheme
@@ -60,6 +60,21 @@ def safe_radius(space: FockSpace) -> float:
     return math.sqrt(space.dim) / 4.0
 
 
+def _displaced_purifications(space: FockSpace, spec: ThermalSpec, zs: list[complex]) -> np.ndarray:
+    """D(z) Phi_beta for each label, shape (K, N, N), from one displacement
+    stack.  Rejects labels outside the safe disc, where truncation would
+    make the norm contract unverifiable."""
+    zs = np.asarray(zs, dtype=complex)
+    radius = float(np.max(np.abs(zs)))
+    if radius > safe_radius(space):
+        raise ValueError(
+            f"|z| = {radius:.3f} exceeds the safe displacement radius "
+            f"{safe_radius(space):.3f} for dim {space.dim}"
+        )
+    # D(z) @ Phi_beta scales column n of D(z) by sqrt(lambda_n)
+    return displacement_stack(space, zs) * np.diag(thermal_vector(space, spec).mat).real
+
+
 def thermal_cs(space: FockSpace, spec: ThermalSpec, z: complex) -> Operator:
     """|z> = D(z) Phi_beta, itself the vector of B2(H_N): a displaced
     Gibbs purification with unit HS norm (up to truncation).
@@ -67,12 +82,7 @@ def thermal_cs(space: FockSpace, spec: ThermalSpec, z: complex) -> Operator:
     Rejects labels outside the safe disc, where truncation would make
     the norm contract unverifiable.
     """
-    if abs(z) > safe_radius(space):
-        raise ValueError(
-            f"|z| = {abs(z):.3f} exceeds the safe displacement radius "
-            f"{safe_radius(space):.3f} for dim {space.dim}"
-        )
-    return displacement(space, z) @ thermal_vector(space, spec)
+    return Operator(space, _displaced_purifications(space, spec, [z])[0])
 
 
 def resolution_operator(
@@ -156,13 +166,11 @@ def s_beta_reflection(space: FockSpace, spec: ThermalSpec, z: complex) -> float:
     S(D(z) Phi_beta) = D(z)† Phi_beta = D(-z) Phi_beta."""
     md = ModularData.from_thermal(space, spec)
     s_map = tomita_s(md)
-    plus = thermal_cs(space, spec, z)
-    minus = thermal_cs(space, spec, -z)
+    plus, minus = (Operator(space, m) for m in _displaced_purifications(space, spec, [z, -z]))
     return hs_norm(s_map(plus) - minus)
 
 
 def cs_overlap(space: FockSpace, spec: ThermalSpec, z1: complex, z2: complex) -> complex:
     """<z1|z2> computed directly from the two states."""
-    a = thermal_cs(space, spec, z1)
-    b = thermal_cs(space, spec, z2)
-    return complex(np.vdot(a.mat, b.mat))
+    a, b = _displaced_purifications(space, spec, [z1, z2])
+    return complex(np.vdot(a, b))

@@ -158,8 +158,14 @@ def test_kms_non_faithful_density_is_rejected():
     assert code == 2 and "not faithful" in error["error"]
 
 
-@pytest.mark.xfail(strict=True, reason="the phase plane stops at N = 99 (ROADMAP item 3)")
 @pytest.mark.parametrize("command", ["resolution", "wigner", "kernel"])
 def test_phase_plane_runs_at_n100(command):
     code, _ = _check_run([command, "--N", "100"])
+    assert code in (0, 1)
+
+
+def test_scheme_flags_replace_the_default_rule():
+    # the default 2N = 600 rings lie past the radial rule's reach; the
+    # flag's 64 rings must be built in their place, not after them
+    code, _ = _check_run(["kernel", "--N", "300", "--radial-nodes", "64", "--allow-small"])
     assert code in (0, 1)

@@ -1,15 +1,20 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
+from scipy.special import eval_genlaguerre, gammaln
 
 from hsqm.fock import (
     FockSpace,
     Operator,
     ThermalSpec,
+    _closed_form_entries,
+    _closed_form_support,
     annihilation,
     creation,
     displacement,
@@ -19,6 +24,9 @@ from hsqm.fock import (
     osc_hamiltonian,
     position,
 )
+from hsqm.quadrature import QuadratureScheme, _laguerre_rule
+
+REFERENCE = Path(__file__).parent / "reference"
 
 
 def test_space_validation():
@@ -89,6 +97,9 @@ def test_osc_hamiltonian():
 def test_displacement_identity_and_vacuum():
     sp = FockSpace(12)
     assert np.allclose(displacement(sp, 0.0).mat, np.eye(12))
+    for n in (2, 5, 12, 64):
+        # exactly, not to the recurrence's rounding
+        assert np.array_equal(displacement_stack(FockSpace(n), np.array([0.3, 0.0, -1j]))[1], np.eye(n))
     # vacuum matrix element against the exponential-series oracle
     assert displacement(sp, 1.0).mat[0, 0] == pytest.approx(math.exp(-0.5), abs=1e-14)
 
@@ -170,3 +181,58 @@ def test_weyl_relation_on_safe_block(r1, phi1, r2, phi2):
     keep = sp.dim // 4 + 1
     phase = np.exp(1j * (a * np.conj(b)).imag)
     assert np.max(np.abs((da @ db - phase * dab)[:keep, :keep])) <= 1e-12
+
+
+# -- the closed form against oracles -------------------------------------------
+#
+# The library computes |<m|D(a)|n>| by a normalized Laguerre recurrence.
+# The oracles are scipy's generalized Laguerre polynomials (the closed form
+# as written) and committed mpmath values (tests/reference/make_tables.py).
+
+
+def _scipy_closed_form(n_levels, alphas):
+    """<m|D(a)|n> = sqrt(n!/m!) a^(m-n) e^(-|a|^2/2) L_n^(m-n)(|a|^2) for m >= n,
+    and D(a)† = D(-a) for m < n, shape (K, N, N)."""
+    m, n = np.indices((n_levels, n_levels))
+    lo, k = np.minimum(m, n), np.abs(m - n)
+    alphas = np.asarray(alphas, dtype=complex)[:, None, None]
+    r = np.abs(alphas)
+    log_mag = 0.5 * (gammaln(lo + 1) - gammaln(lo + k + 1)) + k * np.log(np.where(r > 0, r, 1.0)) - r**2 / 2
+    unit = np.where(r > 0, alphas / np.where(r > 0, r, 1.0), 0.0)
+    return np.where(m >= n, unit, -unit.conj()) ** k * np.exp(log_mag) * eval_genlaguerre(lo, k, r**2)
+
+
+@pytest.mark.parametrize("n_levels", [2, 3, 8, 17, 32, 64])
+def test_closed_form_matches_scipy_oracle(n_levels):
+    rng = np.random.default_rng(n_levels)
+    t = QuadratureScheme.default(n_levels).radial_nodes
+    inside = math.sqrt(n_levels) * rng.uniform(size=8) * np.exp(2j * math.pi * rng.uniform(size=8))
+    alphas = np.concatenate([np.sqrt(t) * np.exp(2j * math.pi * rng.uniform(size=t.size)), inside, [0.0]])
+    got = displacement_stack(FockSpace(n_levels), alphas)
+    assert np.max(np.abs(got - _scipy_closed_form(n_levels, alphas))) <= 1e-13
+
+
+def test_closed_form_matches_mpmath_table():
+    samples = json.loads((REFERENCE / "displacement_entries.json").read_text())
+    assert {s["N"] for s in samples} == {32, 64, 128}
+    for n_levels in (32, 64, 128):
+        rows = [s for s in samples if s["N"] == n_levels]
+        alphas = np.array([complex(*map(float, s["alpha"])) for s in rows])
+        expected = np.array([complex(*map(float, s["value"])) for s in rows])
+        support = _closed_form_support(np.array([s["m"] for s in rows]), np.array([s["n"] for s in rows]), n_levels)
+        # entry p of label p: the diagonal of the (K, P) table
+        got = np.diagonal(_closed_form_entries(alphas, support))
+        assert np.max(np.abs(got - expected)) <= 1e-14
+
+
+def test_closed_form_empty_support():
+    support = _closed_form_support(np.array([], dtype=int), np.array([], dtype=int), 6)
+    assert _closed_form_entries(np.array([0.5, 0.0, 1j]), support).shape == (3, 0)
+
+
+def test_stack_at_n256_on_the_outermost_rings():
+    # t up to 2,003 on the R = 512 rule: e^(-t/2) alone underflows there
+    t, _ = _laguerre_rule(512)
+    stack = displacement_stack(FockSpace(256), np.sqrt(t[-16:]))
+    assert np.all(np.isfinite(stack))
+    assert np.max(np.linalg.norm(stack, axis=1)) <= 1 + 1e-12

@@ -1,11 +1,13 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from hsqm.fock import FockSpace, Operator, ThermalSpec, displacement_stack, gibbs_density
 from hsqm.hs_space import hs_inner
-from hsqm.quadrature import QuadratureScheme
+from hsqm.quadrature import QuadratureScheme, _laguerre_rule
 from hsqm.thermal import resolution_operator
 from hsqm.wigner import unitarity_residual, wigner_function, wigner_inverse
 from node_weights import node_weights
@@ -53,6 +55,25 @@ def test_radial_moments(k):
     t = np.abs(q.z_nodes) ** 2
     got = np.sum(node_weights(q) * t**k * np.exp(-t))
     assert got == pytest.approx(2 * math.pi * math.factorial(k), rel=1e-12)
+
+
+@pytest.mark.parametrize("radial, rtol", [(12, 1e-13), (32, 1e-13), (64, 1e-13), (128, 1e-13), (200, 1e-12)])
+def test_rule_matches_50_digit_table(radial, rtol):
+    # tests/reference/make_tables.py; scipy's own ring weights miss 1e-13
+    # from R = 32 and underflow to 0 at R = 200
+    table = json.loads((Path(__file__).parent / "reference" / "laguerre_rule.json").read_text())[str(radial)]
+    q = QuadratureScheme(radial, 5)
+    assert np.allclose(q.radial_nodes, np.array(table["nodes"], dtype=float), rtol=rtol, atol=0.0)
+    assert np.allclose(q.ring_weights, np.array(table["ring_weights"], dtype=float), rtol=rtol, atol=0.0)
+
+
+def test_rule_at_r512():
+    t, ring = _laguerre_rule(512)
+    assert np.all(np.isfinite(t)) and np.all(np.isfinite(ring)) and np.all(ring > 0)
+    # integral of t^2 e^-t dt = 2; e^-t underflows on the outer rings
+    assert np.sum(ring * np.exp(-t) * t**2) == pytest.approx(2.0, rel=1e-12)
+    with pytest.raises(ValueError, match="radial rule is limited"):
+        QuadratureScheme(600, 5)
 
 
 def test_angular_exactness():
