@@ -4,7 +4,7 @@
 #
 import numpy as np
 
-from hsqm import FockSpace, QuadratureScheme, ThermalSpec, gibbs_density, hs_norm
+from hsqm import FockSpace, ModularData, QuadratureScheme, ThermalSpec, gibbs_density, hs_norm
 from hsqm.thermal import (
     frame_operator_residual,
     resolution_operator,
@@ -31,8 +31,9 @@ print("\n|z> = D(z) Phi at z = 0.7+0.2j:")
 print("  norm:", f"{hs_norm(cs):.12f}")
 
 print("\nTomita reflection S|z> = |-z> (exact up to truncation):")
+md = ModularData.from_thermal(space, spec)
 for z in (0.4, 0.9j, 0.5 - 0.5j):
-    print(f"  z={z}: residual {s_beta_reflection(space, spec, z):.2e}")
+    print(f"  z={z}: residual {s_beta_reflection(md, z):.2e}")
 
 print("\nWhat does the family resolve?")
 print("  The frame operator of {D(z) Phi} under (1/2pi) dx dy is right")

@@ -161,7 +161,7 @@ def _cmd_modular(args):
     checks.append(("state_invariance_residual", inv, 1e-12))
 
     for z in (0.25, 0.5j, 0.3 + 0.4j):
-        checks.append((f"reflection_residual_z={z}", thermal.s_beta_reflection(space, spec, z), 1e-9))
+        checks.append((f"reflection_residual_z={z}", thermal.s_beta_reflection(md, z), 1e-9))
     block, contracts = _named_checks(checks)
     return [block], contracts
 

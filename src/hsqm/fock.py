@@ -43,7 +43,6 @@ __all__ = [
     "creation",
     "position",
     "momentum",
-    "number",
     "identity",
     "osc_hamiltonian",
     "displacement",
@@ -148,10 +147,6 @@ def annihilation(space: FockSpace) -> Operator:
 def creation(space: FockSpace) -> Operator:
     """Adjoint of :func:`annihilation`."""
     return annihilation(space).dag()
-
-
-def number(space: FockSpace) -> Operator:
-    return Operator(space, np.diag(np.arange(float(space.dim))))
 
 
 def position(space: FockSpace) -> Operator:

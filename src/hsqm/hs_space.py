@@ -62,9 +62,9 @@ def block_indices(space: FockSpace, max_level: int) -> np.ndarray:
 
 class SuperOp:
     """Linear map on B2(H_N) in factored form: a list of (A, B) pairs
-    meaning X -> sum_i A_i X B_i†, exact and closed under sums,
-    composition and adjoints.  Its dense form is the N^2 x N^2 array
-    :meth:`to_dense` returns, acting on row-major vectorized X.
+    meaning X -> sum_i A_i X B_i†, built by the constructor from its
+    pairs.  Its dense form is the N^2 x N^2 array :meth:`to_dense`
+    returns, acting on row-major vectorized X.
     """
 
     __slots__ = ("space", "pairs")
@@ -80,8 +80,6 @@ class SuperOp:
             if a.shape != (n, n) or b.shape != (n, n):
                 raise ValueError("factor pair has wrong shape")
 
-    # -- action ------------------------------------------------------
-
     def __call__(self, x: Operator) -> Operator:
         if x.space != self.space:
             raise ValueError("operator lives on a different Fock space")
@@ -90,8 +88,6 @@ class SuperOp:
             out += a @ x.mat @ b.conj().T
         return Operator(self.space, out)
 
-    # -- algebra -----------------------------------------------------
-
     def to_dense(self) -> np.ndarray:
         """Row-major dense matrix; for A ∨ B this is kron(A, conj(B))."""
         d = self.space.dim**2
@@ -99,24 +95,6 @@ class SuperOp:
         for a, b in self.pairs:
             out += np.kron(a, b.conj())
         return out
-
-    def compose(self, other: "SuperOp") -> "SuperOp":
-        """self after other."""
-        if self.space != other.space:
-            raise ValueError("superoperators live on different spaces")
-        prods = [(a1 @ a2, b1 @ b2) for a1, b1 in self.pairs for a2, b2 in other.pairs]
-        return SuperOp(self.space, pairs=prods)
-
-    __matmul__ = compose
-
-    def adjoint(self) -> "SuperOp":
-        """Adjoint w.r.t. the HS inner product; (A ∨ B)* = A† ∨ B†."""
-        return SuperOp(self.space, pairs=[(a.conj().T, b.conj().T) for a, b in self.pairs])
-
-    def __add__(self, other: "SuperOp") -> "SuperOp":
-        if self.space != other.space:
-            raise ValueError("superoperators live on different spaces")
-        return SuperOp(self.space, pairs=self.pairs + other.pairs)
 
     def __repr__(self) -> str:
         return f"SuperOp(dim={self.space.dim}^2, pairs={len(self.pairs)})"

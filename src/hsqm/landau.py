@@ -7,13 +7,11 @@ dressed frequencies Omega~_± = Omega~ ± omega~_c / 2, realized on the
 tensor product of two quantum (Hilbert-Schmidt) spaces with basis
 |n+, n-; m+, m-) = |n+><m+| (x) |n-><m-|.
 
-Provided here: the dressed frequencies and spectrum, the chiral
-Hamiltonians (number operators on the ket indices) and ladder action,
-tensor coherent states, the thermal Husimi distribution and partition
-functions, the lowest-level projector with its reproducing kernel
-e^(z conj(z')), holomorphic projection, the position / momentum
-uncertainty table of the right-action quadratures, and the sector
-resolution X -> P X P of the classical frame P.
+Provided here: the dressed frequencies and spectrum, the thermal Husimi
+distribution and partition functions, the lowest-level wavefunctions
+with the reproducing kernel e^(z conj(z')), holomorphic projection, the
+position / momentum uncertainty table of the right-action quadratures,
+and the sector resolution X -> P X P of the classical frame P.
 
 Conventions: hbar is explicit in the dynamical quantities; the
 lowest-level wavefunctions use the magnetic length l0 = 1.
@@ -32,33 +30,25 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .fock import FockSpace, Operator, _coherent_columns, annihilation, identity
-from .hs_space import SuperOp, basis_element, vee
+from .fock import FockSpace, Operator, _coherent_columns, annihilation
 from .quadrature import QuadratureScheme
-from .thermal import _column_block_norm, safe_radius
+from .thermal import _column_block_norm
 
 __all__ = [
     "LandauParams",
     "ChiralFrequencies",
-    "TensorState",
     "chiral_frequencies",
     "spectrum",
-    "apply_hamiltonian",
-    "tensor_basis_state",
-    "tensor_cs",
-    "apply_chiral_ladder",
     "husimi",
     "partition",
     "husimi_trace_residual",
     "lll_state",
     "lll_overlap",
-    "lll_projector",
     "reproducing_kernel",
     "project_hol",
     "uncertainty_report",
     "classical_frame",
     "tensor_resolution_residual",
-    "diagonal_cs_channel",
 ]
 
 
@@ -153,87 +143,6 @@ def spectrum(p: LandauParams, n_max: int) -> np.ndarray:
     return table
 
 
-# -- tensor quantum space -------------------------------------------------
-
-
-class TensorState:
-    """Coefficients c[n+, m+, n-, m-] on the two-sector quantum basis."""
-
-    __slots__ = ("space", "coeffs")
-
-    def __init__(self, space: FockSpace, coeffs: np.ndarray):
-        n = space.dim
-        coeffs = np.ascontiguousarray(coeffs, dtype=complex)
-        if coeffs.shape != (n, n, n, n):
-            raise ValueError(f"expected coefficient shape {(n,) * 4}, got {coeffs.shape}")
-        if not np.all(np.isfinite(coeffs.view(float))):
-            raise ValueError("coefficients must be finite")
-        self.space = space
-        self.coeffs = coeffs
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.coeffs))
-
-    def inner(self, other: "TensorState") -> complex:
-        if self.space != other.space:
-            raise ValueError("states live on different spaces")
-        return complex(np.vdot(self.coeffs, other.coeffs))
-
-    def __sub__(self, other: "TensorState") -> "TensorState":
-        return TensorState(self.space, self.coeffs - other.coeffs)
-
-    def __repr__(self) -> str:
-        return f"TensorState(dim={self.space.dim})"
-
-
-def tensor_basis_state(space: FockSpace, n_plus: int, n_minus: int, m_plus: int = 0, m_minus: int = 0) -> TensorState:
-    c = np.zeros((space.dim,) * 4, dtype=complex)
-    c[n_plus, m_plus, n_minus, m_minus] = 1.0
-    return TensorState(space, c)
-
-
-_KET_AXIS = {"+": 0, "-": 2}
-
-
-def apply_chiral_ladder(state: TensorState, sector: str, raising: bool) -> TensorState:
-    """Chiral ladder on the ket index of one sector.
-
-    A_± lowers n_± with sqrt(n); its adjoint raises with sqrt(n+1); the
-    top level truncates.
-    """
-    axis = _KET_AXIS[sector]
-    n = state.space.dim
-    c = np.moveaxis(state.coeffs, axis, 0)
-    out = np.zeros_like(c)
-    root = np.sqrt(np.arange(1.0, n))
-    if raising:
-        out[1:] = root[:, None, None, None] * c[:-1]
-    else:
-        out[:-1] = root[:, None, None, None] * c[1:]
-    return TensorState(state.space, np.moveaxis(out, 0, axis))
-
-
-def apply_hamiltonian(p: LandauParams, state: TensorState) -> TensorState:
-    """(H+ (x) 1 + 1 (x) H-) with H_± = hbar O_± (N + 1/2) on the ket index n_±:
-    every |n±><m±| is an eigenvector, of :func:`spectrum` energy E[n+, n-]."""
-    return TensorState(state.space, spectrum(p, state.space.dim)[:, None, :, None] * state.coeffs)
-
-
-def tensor_cs(space: FockSpace, z_plus: complex, z_minus: complex) -> TensorState:
-    """Coherent state of the chiral pair.
-
-    Coefficients factor into per-sector terms <n|z> conj(<m|z>), so they
-    are z^n conj(z)^m / sqrt(n! m!) with the double Gaussian prefactor
-    e^(-(|z+|^2 + |z-|^2)); unit norm in exact arithmetic.
-    """
-    bound = safe_radius(space)
-    if abs(z_plus) > bound or abs(z_minus) > bound:
-        raise ValueError(f"coherent labels must stay inside the safe disc |z| <= {bound:.3f}")
-    plus, minus = _coherent_columns(space.dim, [z_plus, z_minus])
-    coeffs = np.multiply.outer(np.outer(plus, plus.conj()), np.outer(minus, minus.conj()))
-    return TensorState(space, coeffs)
-
-
 # -- thermal phase-space density ------------------------------------------
 
 
@@ -314,13 +223,6 @@ def lll_overlap(m: int, z_tilde: complex) -> complex:
     if m < 0:
         raise ValueError("angular index must be nonnegative")
     return complex(_coherent_columns(m + 1, z_tilde)[0, m])
-
-
-def lll_projector(space: FockSpace) -> SuperOp:
-    """Orthogonal projector onto the n=0 row of the quantum space:
-    X -> |0><0| X; rank N on the truncation."""
-    e00 = basis_element(space, 0, 0)
-    return vee(e00, identity(space))
 
 
 def reproducing_kernel(space: FockSpace, z: complex, z_prime: complex) -> complex:
@@ -445,13 +347,3 @@ def tensor_resolution_residual(space: FockSpace, scheme: QuadratureScheme) -> fl
     r = _column_block_norm(sector - eye)
     return r * (1.0 + r) + r
 
-
-def diagonal_cs_channel(space: FockSpace, scheme: QuadratureScheme) -> np.ndarray:
-    """Frame operator of the diagonal coherent family |z><z| viewed as
-    vectors of the quantum space: a Husimi-smoothing channel, not the
-    identity (its |0><0| diagonal element is 1/2).
-
-    |z><z| has entries <n|z> conj(<m|z>) of charge n - m, so the channel
-    is the ring Gram of the radial outer products: real."""
-    c = scheme._radial_column(space)
-    return scheme._ring_gram(c[:, :, None] * c[:, None, :])

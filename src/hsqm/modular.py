@@ -6,7 +6,6 @@ and separating vector Phi = rho^(1/2).  The objects realized here:
 * the Tomita map       S(X) = rho^(-1/2) X† rho^(1/2),  S(A Phi) = A† Phi,
 * modular conjugation  J(X) = X†,
 * modular operator     Delta(X) = rho X rho^(-1), with S = J Delta^(1/2),
-* the auxiliary map    F(X) = rho^(1/2) X† rho^(-1/2) = J Delta^(-1/2),
 * modular flow         sigma_t(A) = rho^(it) A rho^(-it),
 * the KMS boundary condition of the Heisenberg flow of the stored
   Hamiltonian at the stored inverse temperature.
@@ -29,7 +28,6 @@ __all__ = [
     "modular_operator",
     "modular_conjugation",
     "tomita_s",
-    "tomita_f",
     "delta_power",
     "polar_check",
     "modular_flow",
@@ -78,7 +76,7 @@ class AntilinearMap:
             raise ValueError("operator lives on a different Fock space")
         return Operator(self.space, self.left @ x.mat.conj().T @ self.right)
 
-    # Explicit composition rules; each returns the closed form.
+    # Explicit composition rule; returns the closed form.
 
     def after_linear(self, sup: SuperOp) -> "AntilinearMap":
         """self ∘ (A ∨ B): antilinear with factors (L B, A† R)."""
@@ -86,15 +84,6 @@ class AntilinearMap:
             raise ValueError("composition implemented for single-pair superoperators")
         a, b = sup.pairs[0]
         return AntilinearMap(self.space, self.left @ b, a.conj().T @ self.right)
-
-    def compose(self, other: "AntilinearMap") -> SuperOp:
-        """self ∘ other is linear: X -> (L1 R2†) X (L2† R1)."""
-        if self.space != other.space:
-            raise ValueError("maps live on different spaces")
-        a = self.left @ other.right.conj().T
-        b = self.right.conj().T @ other.left
-        # X -> a X b = vee(a, b†)(X)
-        return SuperOp(self.space, pairs=[(a, b.conj().T)])
 
     def __repr__(self) -> str:
         return f"AntilinearMap(dim={self.space.dim})"
@@ -190,11 +179,6 @@ def modular_conjugation(space: FockSpace) -> AntilinearMap:
 def tomita_s(md: ModularData) -> AntilinearMap:
     """S(X) = rho^(-1/2) X† rho^(1/2); satisfies S(A Phi) = A† Phi."""
     return AntilinearMap(md.space, md.rho_power(-0.5), md.rho_power(0.5))
-
-
-def tomita_f(md: ModularData) -> AntilinearMap:
-    """F(X) = rho^(1/2) X† rho^(-1/2) = J Delta^(-1/2)."""
-    return AntilinearMap(md.space, md.rho_power(0.5), md.rho_power(-0.5))
 
 
 def _rank_one_images(m: AntilinearMap, a: int) -> np.ndarray:

@@ -60,10 +60,10 @@ def safe_radius(space: FockSpace) -> float:
     return math.sqrt(space.dim) / 4.0
 
 
-def _displaced_purifications(space: FockSpace, spec: ThermalSpec, zs: list[complex]) -> np.ndarray:
-    """D(z) Phi_beta for each label, shape (K, N, N), from one displacement
-    stack.  Rejects labels outside the safe disc, where truncation would
-    make the norm contract unverifiable."""
+def _safe_displacements(space: FockSpace, zs: list[complex]) -> np.ndarray:
+    """D(z) for each label, shape (K, N, N), from one displacement stack.
+    Rejects labels outside the safe disc, where truncation would make the
+    norm contract unverifiable."""
     zs = np.asarray(zs, dtype=complex)
     radius = float(np.max(np.abs(zs)))
     if radius > safe_radius(space):
@@ -71,8 +71,13 @@ def _displaced_purifications(space: FockSpace, spec: ThermalSpec, zs: list[compl
             f"|z| = {radius:.3f} exceeds the safe displacement radius "
             f"{safe_radius(space):.3f} for dim {space.dim}"
         )
+    return displacement_stack(space, zs)
+
+
+def _displaced_purifications(space: FockSpace, spec: ThermalSpec, zs: list[complex]) -> np.ndarray:
+    """D(z) Phi_beta for each label inside the safe disc, shape (K, N, N)."""
     # D(z) @ Phi_beta scales column n of D(z) by sqrt(lambda_n)
-    return displacement_stack(space, zs) * np.diag(thermal_vector(space, spec).mat).real
+    return _safe_displacements(space, zs) * np.diag(thermal_vector(space, spec).mat).real
 
 
 def thermal_cs(space: FockSpace, spec: ThermalSpec, z: complex) -> Operator:
@@ -161,13 +166,12 @@ def frame_operator_residual(
     return _right_weight_deviation(space, spec, scheme, mirrored, lam)
 
 
-def s_beta_reflection(space: FockSpace, spec: ThermalSpec, z: complex) -> float:
-    """HS distance between S(|z>) and |-z>; zero up to truncation since
-    S(D(z) Phi_beta) = D(z)† Phi_beta = D(-z) Phi_beta."""
-    md = ModularData.from_thermal(space, spec)
-    s_map = tomita_s(md)
-    plus, minus = (Operator(space, m) for m in _displaced_purifications(space, spec, [z, -z]))
-    return hs_norm(s_map(plus) - minus)
+def s_beta_reflection(md: ModularData, z: complex) -> float:
+    """HS distance between S(|z>) and |-z> for |±z> = D(±z) Phi, Phi =
+    rho^(1/2); zero up to truncation for any faithful rho, since
+    S(D(z) Phi) = D(z)† Phi = D(-z) Phi."""
+    plus, minus = (Operator(md.space, m) for m in _safe_displacements(md.space, [z, -z]) @ md.sqrt_rho.mat)
+    return hs_norm(tomita_s(md)(plus) - minus)
 
 
 def cs_overlap(space: FockSpace, spec: ThermalSpec, z1: complex, z2: complex) -> complex:

