@@ -350,15 +350,17 @@ def displacement(space: FockSpace, alpha: complex) -> Operator:
     return Operator(space, displacement_stack(space, np.array([alpha]))[0])
 
 
-def gibbs_density(space: FockSpace, spec: ThermalSpec) -> Operator:
-    """Oscillator Gibbs density, diagonal with weights prop. to e^(-n w b).
-
-    The weights are renormalized over the retained levels so the trace
-    is 1 at any truncation; the analytic prefactor (1 - e^(-w b)) is
-    recovered as N grows.
-    """
+def _gibbs_weights(space: FockSpace, spec: ThermalSpec) -> np.ndarray:
+    """The N Gibbs weights, prop. to e^(-n w b), renormalized over the
+    retained levels so they sum to 1 at any truncation; the analytic
+    prefactor (1 - e^(-w b)) is recovered as N grows."""
     exponents = np.zeros(space.dim)
     exponents[1:] = -np.arange(1, space.dim) * spec.omega * spec.beta
     weights = np.exp(exponents)
     weights /= weights.sum()
-    return Operator(space, np.diag(weights).astype(complex))
+    return weights
+
+
+def gibbs_density(space: FockSpace, spec: ThermalSpec) -> Operator:
+    """Oscillator Gibbs density, diagonal with the weights of :func:`_gibbs_weights`."""
+    return Operator(space, np.diag(_gibbs_weights(space, spec)).astype(complex))

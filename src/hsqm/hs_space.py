@@ -9,9 +9,8 @@ element |n><l| maps to the unit coordinate at index n*N + l.
 
 The workhorse is the sandwich superoperator A ∨ B : X -> A X B†, which
 bridges the left and right multiplication algebras.  A :class:`SuperOp`
-is a sum of such sandwiches; its dense form, and every dense
-superoperator of the package, is a plain N^2 x N^2 array acting on
-row-major vectorized X.
+is one such sandwich; its dense form, and every dense superoperator of
+the package, is a plain N^2 x N^2 array acting on row-major vectorized X.
 """
 
 from __future__ import annotations
@@ -61,48 +60,38 @@ def block_indices(space: FockSpace, max_level: int) -> np.ndarray:
 
 
 class SuperOp:
-    """Linear map on B2(H_N) in factored form: a list of (A, B) pairs
-    meaning X -> sum_i A_i X B_i†, built by the constructor from its
-    pairs.  Its dense form is the N^2 x N^2 array :meth:`to_dense`
-    returns, acting on row-major vectorized X.
+    """Linear map on B2(H_N) in factored form: the sandwich
+    X -> L X R† of its ``left`` and ``right`` factors.  Its dense form is
+    the N^2 x N^2 array :meth:`to_dense` returns, acting on row-major
+    vectorized X.
     """
 
-    __slots__ = ("space", "pairs")
+    __slots__ = ("space", "left", "right")
 
-    def __init__(self, space: FockSpace, pairs):
-        n = space.dim
+    def __init__(self, space: FockSpace, left: np.ndarray, right: np.ndarray):
         self.space = space
-        self.pairs = [
-            (np.ascontiguousarray(a, dtype=complex), np.ascontiguousarray(b, dtype=complex))
-            for a, b in pairs
-        ]
-        for a, b in self.pairs:
-            if a.shape != (n, n) or b.shape != (n, n):
-                raise ValueError("factor pair has wrong shape")
+        self.left = np.ascontiguousarray(left, dtype=complex)
+        self.right = np.ascontiguousarray(right, dtype=complex)
+        n = space.dim
+        if self.left.shape != (n, n) or self.right.shape != (n, n):
+            raise ValueError("sandwich factors have wrong shape")
 
     def __call__(self, x: Operator) -> Operator:
         if x.space != self.space:
             raise ValueError("operator lives on a different Fock space")
-        out = np.zeros_like(x.mat)
-        for a, b in self.pairs:
-            out += a @ x.mat @ b.conj().T
-        return Operator(self.space, out)
+        return Operator(self.space, self.left @ x.mat @ self.right.conj().T)
 
     def to_dense(self) -> np.ndarray:
-        """Row-major dense matrix; for A ∨ B this is kron(A, conj(B))."""
-        d = self.space.dim**2
-        out = np.zeros((d, d), dtype=complex)
-        for a, b in self.pairs:
-            out += np.kron(a, b.conj())
-        return out
+        """Row-major dense matrix kron(L, conj(R))."""
+        return np.kron(self.left, self.right.conj())
 
     def __repr__(self) -> str:
-        return f"SuperOp(dim={self.space.dim}^2, pairs={len(self.pairs)})"
+        return f"SuperOp(dim={self.space.dim}^2)"
 
 
 def vee(a: Operator, b: Operator) -> SuperOp:
     """The sandwich map A ∨ B : X -> A X B†."""
     if a.space != b.space:
         raise ValueError("operators live on different Fock spaces")
-    return SuperOp(a.space, pairs=[(a.mat, b.mat)])
+    return SuperOp(a.space, a.mat, b.mat)
 

@@ -80,10 +80,7 @@ class AntilinearMap:
 
     def after_linear(self, sup: SuperOp) -> "AntilinearMap":
         """self ∘ (A ∨ B): antilinear with factors (L B, A† R)."""
-        if len(sup.pairs) != 1:
-            raise ValueError("composition implemented for single-pair superoperators")
-        a, b = sup.pairs[0]
-        return AntilinearMap(self.space, self.left @ b, a.conj().T @ self.right)
+        return AntilinearMap(self.space, self.left @ sup.right, sup.left.conj().T @ self.right)
 
     def __repr__(self) -> str:
         return f"AntilinearMap(dim={self.space.dim})"

@@ -22,7 +22,11 @@ assemble only the M columns of the block they check, one (N^2 x R) @
 (R x M) real product, not a sum over all K = R * A nodes.
 
 The Tomita map of the thermal state reflects the family through the
-origin: S(|z>) = |-z>, exactly, since D(z)† = D(-z).
+origin: S(|z>) = |-z>, exactly, since D(z)† = D(-z).  The mirrored
+family needs no assembly of its own: D(-r) is D(r) times the charge
+sign (-1)^(m-n), a signature matrix S, so its frame operator is S F S
+and each residual equals the family's (S fixes the diagonal reference
+and preserves the 2-norm).
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ import math
 
 import numpy as np
 
-from .fock import FockSpace, Operator, ThermalSpec, displacement_stack, gibbs_density
+from .fock import FockSpace, Operator, ThermalSpec, _gibbs_weights, displacement_stack
 from .hs_space import block_indices, hs_norm
 from .modular import ModularData, tomita_s
 from .quadrature import QuadratureScheme
@@ -50,8 +54,7 @@ __all__ = [
 
 def thermal_vector(space: FockSpace, spec: ThermalSpec) -> Operator:
     """Phi_beta = rho_beta^(1/2): diagonal, positive, unit HS norm."""
-    rho = gibbs_density(space, spec)
-    return Operator(space, np.diag(np.sqrt(np.diag(rho.mat).real)).astype(complex))
+    return Operator(space, np.diag(np.sqrt(_gibbs_weights(space, spec))).astype(complex))
 
 
 def safe_radius(space: FockSpace) -> float:
@@ -77,7 +80,7 @@ def _safe_displacements(space: FockSpace, zs: list[complex]) -> np.ndarray:
 def _displaced_purifications(space: FockSpace, spec: ThermalSpec, zs: list[complex]) -> np.ndarray:
     """D(z) Phi_beta for each label inside the safe disc, shape (K, N, N)."""
     # D(z) @ Phi_beta scales column n of D(z) by sqrt(lambda_n)
-    return _safe_displacements(space, zs) * np.diag(thermal_vector(space, spec).mat).real
+    return _safe_displacements(space, zs) * np.sqrt(_gibbs_weights(space, spec))
 
 
 def thermal_cs(space: FockSpace, spec: ThermalSpec, z: complex) -> Operator:
@@ -91,23 +94,22 @@ def thermal_cs(space: FockSpace, spec: ThermalSpec, z: complex) -> Operator:
 
 
 def resolution_operator(
-    space: FockSpace, spec: ThermalSpec, scheme: QuadratureScheme, mirrored: bool = False, max_level: int | None = None
+    space: FockSpace, spec: ThermalSpec, scheme: QuadratureScheme, max_level: int | None = None
 ) -> np.ndarray:
     """Quadrature assembly of (1/2pi) * integral |z><z| dx dy as a dense
     superoperator on B2(H_N): a real N^2 x N^2 array acting on row-major
-    vectorized X; ``mirrored`` uses the reflected family |-z>.  A
-    ``max_level`` assembles only the columns ``block_indices(space, max_level)``.
+    vectorized X.  A ``max_level`` assembles only the columns
+    ``block_indices(space, max_level)``.
 
     Assembled from the R radial states D(sqrt(t_r)) Phi_beta, not the
     K = R * A node states: the angular sum keeps only entries whose
     charges m - n agree mod A, so the matrix is block-sparse by charge
     (see :mod:`hsqm.quadrature`).  The radial states are real, so the
-    assembled matrix is real too; the reflected family is that stack
-    times the charge sign (-1)^(m-n).
+    assembled matrix is real too.  The reflected family |-z> assembles
+    to S G S, with S the charge sign (-1)^(m-n) on rows and columns.
     """
-    sqrt_lam = np.sqrt(np.diag(gibbs_density(space, spec).mat).real)
-    sign = (-1.0) ** np.add.outer(np.arange(space.dim), np.arange(space.dim)) if mirrored else 1.0
-    states = scheme._radial_stack(space) * (sqrt_lam * sign)  # D(±sqrt(t_r)) @ diag(sqrt(lambda))
+    sqrt_lam = np.sqrt(_gibbs_weights(space, spec))
+    states = scheme._radial_stack(space) * sqrt_lam  # D(sqrt(t_r)) @ diag(sqrt(lambda))
     return scheme._ring_gram(states, None if max_level is None else block_indices(space, max_level))
 
 
@@ -120,7 +122,6 @@ def _right_weight_deviation(
     space: FockSpace,
     spec: ThermalSpec,
     scheme: QuadratureScheme,
-    mirrored: bool,
     weights: np.ndarray,
 ) -> float:
     """Operator-norm distance between the assembled family and right
@@ -128,7 +129,7 @@ def _right_weight_deviation(
     on levels <= N/4, from the M x M Gram D^T D."""
     max_level = space.dim // 4
     cols = block_indices(space, max_level)
-    deviation = resolution_operator(space, spec, scheme, mirrored, max_level)
+    deviation = resolution_operator(space, spec, scheme, max_level)
     # the reference is diagonal: entry n*N + l carries weights[l]
     deviation[cols, np.arange(cols.size)] -= weights[cols % space.dim]
     return _column_block_norm(deviation)
@@ -138,7 +139,6 @@ def resolution_residual(
     space: FockSpace,
     spec: ThermalSpec,
     scheme: QuadratureScheme,
-    mirrored: bool = False,
 ) -> float:
     """Operator-norm deviation of the assembled family from the identity,
     restricted to inputs supported on levels <= N/4.
@@ -149,21 +149,20 @@ def resolution_residual(
     diagnostic; see :func:`frame_operator_residual` for the residual
     against the true frame operator.
     """
-    return _right_weight_deviation(space, spec, scheme, mirrored, np.ones(space.dim))
+    return _right_weight_deviation(space, spec, scheme, np.ones(space.dim))
 
 
 def frame_operator_residual(
     space: FockSpace,
     spec: ThermalSpec,
     scheme: QuadratureScheme,
-    mirrored: bool = False,
 ) -> float:
     """Deviation of the assembled family from its closed-form frame
     operator, right multiplication by the Gibbs density (dense form
     kron(I, rho_beta)), on inputs supported on levels <= N/4;
     truncation-level small there."""
-    lam = np.diag(gibbs_density(space, spec).mat).real
-    return _right_weight_deviation(space, spec, scheme, mirrored, lam)
+    lam = _gibbs_weights(space, spec)
+    return _right_weight_deviation(space, spec, scheme, lam)
 
 
 def s_beta_reflection(md: ModularData, z: complex) -> float:

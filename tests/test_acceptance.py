@@ -177,7 +177,8 @@ def test_c05a_thermal_cs_resolution_identity():
     # in dense form dense @ kron(I, diag(1/lambda)) - I.  This is checked
     # on inputs supported on levels <= N/4, where lambda_b >= lambda_{N/4}
     # keeps the dual well defined, at N=32, omega*beta=1, for the family
-    # and its mirror.  The two facts the dual rests on are asserted too:
+    # and its mirror |-z>, assembled here from its own radial stack
+    # D(-sqrt(t_r)).  The two facts the dual rests on are asserted too:
     # the assembly equals kron(I, rho_beta), and the unweighted identity
     # residual equals the Gibbs weight gap 1 - lambda_{N/4}.
     n = 32
@@ -194,9 +195,13 @@ def test_c05a_thermal_cs_resolution_identity():
     def block_norm(diff):
         return float(np.linalg.norm(diff, 2))
 
+    mirror_states = displacement_stack(sp, -np.sqrt(scheme.radial_nodes)).real * np.sqrt(lam)
+    blocks = {
+        "family": resolution_operator(sp, spec, scheme)[:, cols],
+        "mirror": scheme._ring_gram(mirror_states, cols),
+    }
     rows = {}
-    for name, mirrored in (("family", False), ("mirror", True)):
-        block = resolution_operator(sp, spec, scheme, mirrored)[:, cols]
+    for name, block in blocks.items():
         rows[name] = (
             block_norm(block / weight - eye),  # dual-frame identity
             block_norm(block - eye * weight),  # frame operator kron(I, rho_beta)

@@ -6,6 +6,7 @@ import math
 import pytest
 
 from hsqm import cli
+from hsqm.quadrature import QuadratureScheme
 
 
 def _run(tmp_path, argv, name="out.csv"):
@@ -184,6 +185,22 @@ def test_resolution_exact_tensor_branch_at_n8(tmp_path):
     assert code == 1  # the unweighted identity rows stay red
     rows = {r["name"]: r for r in _rows(raw) if r["kind"] == "row"}
     assert float(rows["resolv_residual"]["value"]) <= 1e-5
+
+
+def test_resolution_builds_two_radial_stacks(tmp_path, monkeypatch):
+    # one stack per residual: the mirror's rows come from the family's
+    # residuals, so the stack is not built again for |-z>
+    calls = []
+    build = QuadratureScheme._radial_stack
+
+    def counted(self, space):
+        calls.append(space.dim)
+        return build(self, space)
+
+    monkeypatch.setattr(QuadratureScheme, "_radial_stack", counted)
+    code, _ = _run(tmp_path, ["resolution", "--N", "8"])
+    assert code == 1
+    assert 1 <= len(calls) <= 2
 
 
 def test_invalid_config(tmp_path, capsys):

@@ -108,7 +108,7 @@ SCHEME_COMMANDS = ("husimi", "resolution", "wigner", "kernel")
 @given(st.sampled_from(SCHEME_COMMANDS), st.integers(4, 12), st.data(), st.booleans())
 def test_generated_scheme_reports_or_rejects(command, n, data, allow_small):
     # --allow-small admits aliased schemes (A < 2N - 1), where charges that
-    # differ by A share a ring sum and the mirrored family picks up a sign
+    # differ by A share a ring sum
     radial = data.draw(st.integers(1, 3 * n), label="radial")
     angular = data.draw(st.integers(1, 5 * n), label="angular")
     argv = [command, "--N", str(n), "--radial-nodes", str(radial), "--angular-nodes", str(angular)]

@@ -85,6 +85,7 @@ GUARDS = {
     "Operator-sub-spaces": (ValueError, "different Fock spaces", lambda: identity(SP) - identity(OTHER)),
     "osc_hamiltonian-zero": (ValueError, "omega must be positive", lambda: osc_hamiltonian(SP, 0.0)),
     "osc_hamiltonian-negative": (ValueError, "omega must be positive", lambda: osc_hamiltonian(SP, -1.0)),
+    "SuperOp-shape": (ValueError, "sandwich factors have wrong shape", lambda: SuperOp(SP, np.eye(3), np.eye(4))),
     "SuperOp-call-spaces": (
         ValueError,
         "operator lives on a different Fock space",
@@ -117,11 +118,6 @@ GUARDS = {
         ValueError,
         "operator lives on a different Fock space",
         lambda: modular_conjugation(SP)(identity(OTHER)),
-    ),
-    "AntilinearMap-after_linear-pairs": (
-        ValueError,
-        "single-pair superoperators",
-        lambda: modular_conjugation(SP).after_linear(SuperOp(SP, pairs=[(np.eye(3), np.eye(3))] * 2)),
     ),
     "ModularData-hamiltonian-space": (
         ValueError,

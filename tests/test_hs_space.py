@@ -102,19 +102,17 @@ def test_vee_identity_and_laws():
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(2, 5))
 def test_dense_form_of_sums_products_and_adjoints(seed, n):
-    # multi-pair SuperOps from the constructor: the pairs of a sum, of a
-    # product (A1 A2, B1 B2) and of an adjoint (A†, B†) give the sum,
-    # product and conjugate transpose of the dense forms
+    # the factors of a product (A1 A2, B1 B2) and of an adjoint (A†, B†)
+    # give the product and conjugate transpose of the dense forms, and
+    # the dense forms of two sandwiches add as their images do
     sp = FockSpace(n)
     rng = np.random.default_rng(seed)
-    (a1, b1), (a2, b2), (a3, b3) = ((_random_op(sp, rng).mat, _random_op(sp, rng).mat) for _ in range(3))
-    d1, d2, d3 = (vee(Operator(sp, a), Operator(sp, b)).to_dense() for a, b in ((a1, b1), (a2, b2), (a3, b3)))
+    (a1, b1), (a2, b2) = ((_random_op(sp, rng).mat, _random_op(sp, rng).mat) for _ in range(2))
+    d1, d2 = (vee(Operator(sp, a), Operator(sp, b)).to_dense() for a, b in ((a1, b1), (a2, b2)))
     cases = [
-        (SuperOp(sp, [(a1, b1), (a2, b2)]), d1 + d2),
-        (SuperOp(sp, [(a1 @ a2, b1 @ b2)]), d1 @ d2),
-        (SuperOp(sp, [(a1 @ a3, b1 @ b3), (a2 @ a3, b2 @ b3)]), (d1 + d2) @ d3),
-        (SuperOp(sp, [(a1.conj().T, b1.conj().T), (a2.conj().T, b2.conj().T)]), (d1 + d2).conj().T),
-        (SuperOp(sp, [((a1 @ a2).conj().T, (b1 @ b2).conj().T)]), (d1 @ d2).conj().T),
+        (SuperOp(sp, a1 @ a2, b1 @ b2), d1 @ d2),
+        (SuperOp(sp, a1.conj().T, b1.conj().T), d1.conj().T),
+        (SuperOp(sp, (a1 @ a2).conj().T, (b1 @ b2).conj().T), (d1 @ d2).conj().T),
     ]
     x = _random_op(sp, rng)
     for sup, dense in cases:
@@ -123,6 +121,8 @@ def test_dense_form_of_sums_products_and_adjoints(seed, n):
         assert np.max(np.abs(got - dense)) <= 1e-13 * np.max(np.abs(dense))
         image = sup(x).mat.ravel()
         assert np.max(np.abs(got @ x.mat.ravel() - image)) <= 1e-13 * np.max(np.abs(image))
+    image = (SuperOp(sp, a1, b1)(x) + SuperOp(sp, a2, b2)(x)).mat.ravel()
+    assert np.max(np.abs((d1 + d2) @ x.mat.ravel() - image)) <= 1e-13 * np.max(np.abs(image))
 
 
 def test_left_right_actions_commute():
@@ -167,6 +167,6 @@ def test_hs_norm_cases():
 def test_superop_validation():
     sp = FockSpace(3)
     with pytest.raises(ValueError):
-        SuperOp(sp, pairs=[(np.eye(2), np.eye(2))])
+        SuperOp(sp, np.eye(2), np.eye(2))
     with pytest.raises(ValueError):
         vee(identity(FockSpace(3)), identity(FockSpace(4)))

@@ -115,8 +115,8 @@ def _scaled_tomita(md):
 
 
 def _scaled_delta_power(md, power):
-    (left, right), = delta_power(md, power).pairs
-    return SuperOp(md.space, pairs=[(left * (1.0 + 1e-6), right)])
+    sup = delta_power(md, power)
+    return SuperOp(md.space, sup.left * (1.0 + 1e-6), sup.right)
 
 
 @pytest.mark.parametrize("name, scaled", [("tomita_s", _scaled_tomita), ("delta_power", _scaled_delta_power)])

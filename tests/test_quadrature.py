@@ -121,6 +121,8 @@ def _random_operator(sp, seed):
 @pytest.mark.parametrize("n, radial, angular", POLAR_CASES)
 @pytest.mark.parametrize("mirrored", [False, True])
 def test_resolution_operator_matches_node_sum(n, radial, angular, mirrored):
+    # the mirrored family |-z> summed over the nodes -z is the family's
+    # frame G conjugated by the charge sign S = (-1)^(m-n): S G S
     sp = FockSpace(n)
     spec = ThermalSpec(1.0, 0.7)
     scheme = QuadratureScheme(radial, angular)
@@ -128,7 +130,8 @@ def test_resolution_operator_matches_node_sum(n, radial, angular, mirrored):
     stack = displacement_stack(sp, -scheme.z_nodes if mirrored else scheme.z_nodes)
     vecs = (stack * sqrt_lam).reshape(len(scheme.z_nodes), n * n)
     reference = (vecs.T * (node_weights(scheme) / (2 * math.pi))) @ vecs.conj()
-    got = resolution_operator(sp, spec, scheme, mirrored)
+    sign = (-1.0) ** np.add.outer(np.arange(n), np.arange(n)).ravel() if mirrored else np.ones(n * n)
+    got = sign[:, None] * resolution_operator(sp, spec, scheme) * sign
     assert np.max(np.abs(got - reference)) <= 1e-13
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hsqm.fock import FockSpace, Operator, ThermalSpec, displacement, gibbs_density
+from hsqm.fock import FockSpace, Operator, ThermalSpec, displacement, displacement_stack, gibbs_density
 from hsqm.hs_space import basis_element, block_indices, hs_norm
 from hsqm.modular import ModularData
 from hsqm.quadrature import QuadratureScheme
@@ -96,12 +96,33 @@ def test_overlap_law():
     assert direct == pytest.approx(closed, abs=1e-10)
 
 
+def _mirrored_block(sp, spec, scheme, max_level):
+    """Columns block_indices(sp, max_level) of the mirrored family's frame,
+    (1/2pi) integral |-z><-z| dx dy, assembled from its own radial stack
+    D(-sqrt(t_r)), whose phases (-1)^(m-n) come from the closed form."""
+    sqrt_lam = np.sqrt(np.diag(gibbs_density(sp, spec).mat).real)
+    states = displacement_stack(sp, -np.sqrt(scheme.radial_nodes)).real * sqrt_lam
+    return scheme._ring_gram(states, block_indices(sp, max_level))
+
+
+def _mirrored_deviation_norm(sp, spec, scheme, weights):
+    """Restricted 2-norm of the mirrored family's deviation from kron(I, diag(weights)) on levels <= N/4."""
+    cols = block_indices(sp, sp.dim // 4)
+    deviation = _mirrored_block(sp, spec, scheme, sp.dim // 4)
+    deviation[cols, np.arange(cols.size)] -= weights[cols % sp.dim]
+    return _column_block_norm(deviation)
+
+
 @pytest.mark.parametrize("mirrored", [False, True])
 def test_frame_operator_residual_small(mirrored):
     sp = FockSpace(24)
     spec = ThermalSpec(1.0, 1.0)
     scheme = QuadratureScheme.default(24)
-    assert frame_operator_residual(sp, spec, scheme, mirrored=mirrored) <= 1e-5
+    if mirrored:
+        lam = np.diag(gibbs_density(sp, spec).mat).real
+        assert _mirrored_deviation_norm(sp, spec, scheme, lam) <= 1e-5
+    else:
+        assert frame_operator_residual(sp, spec, scheme) <= 1e-5
 
 
 def test_identity_residual_equals_gibbs_weight_gap():
@@ -175,17 +196,35 @@ def test_block_columns_match_full_operator(n, radial, angular, mirrored):
     # two summation orders differ by at most R eps sqrt(G_ii G_jj)
     # (Cauchy-Schwarz), within R eps max diag(G).  Not bitwise: numpy
     # sends the one-column product (max_level = 0) to GEMV, which sums in
-    # another order than the full GEMM.
+    # another order than the full GEMM.  The mirrored family's columns,
+    # from its own stack, are those of S G S with S the charge sign.
     sp = FockSpace(n)
     spec = ThermalSpec(1.0, 0.7)
     scheme = QuadratureScheme(radial, angular)
-    full = resolution_operator(sp, spec, scheme, mirrored)
+    full = resolution_operator(sp, spec, scheme)
+    sign = (-1.0) ** np.add.outer(np.arange(n), np.arange(n)).ravel() if mirrored else np.ones(n * n)
     bound = radial * np.finfo(float).eps * np.max(np.diag(full))
     for max_level in range(n):
         cols = block_indices(sp, max_level)
-        block = resolution_operator(sp, spec, scheme, mirrored, max_level)
+        if mirrored:
+            block = _mirrored_block(sp, spec, scheme, max_level)
+        else:
+            block = resolution_operator(sp, spec, scheme, max_level)
         assert block.shape == (n * n, (max_level + 1) ** 2)
-        assert np.max(np.abs(block - full[:, cols])) <= bound
+        assert np.max(np.abs(block - sign[:, None] * full[:, cols] * sign[cols])) <= bound
+
+
+@pytest.mark.parametrize("n, radial, angular", FRAME_CASES)
+def test_mirrored_residuals_equal_direct(n, radial, angular):
+    # the mirror's charge signs form a signature matrix S: its deviation
+    # is S D S on the block, with the same 2-norm as the family's
+    sp = FockSpace(n)
+    spec = ThermalSpec(1.0, 0.7)
+    scheme = QuadratureScheme(radial, angular)
+    lam = np.diag(gibbs_density(sp, spec).mat).real
+    for weights, residual in ((np.ones(n), resolution_residual), (lam, frame_operator_residual)):
+        direct = residual(sp, spec, scheme)
+        assert _mirrored_deviation_norm(sp, spec, scheme, weights) == pytest.approx(direct, rel=1e-15, abs=0.0)
 
 
 @settings(max_examples=30, deadline=None)
@@ -194,10 +233,9 @@ def test_block_columns_match_full_operator(n, radial, angular, mirrored):
     omega=st.floats(0.1, 4.0),
     beta=st.floats(0.05, 6.0),
     angular=st.sampled_from([None, 3, 4, 5]),
-    mirrored=st.booleans(),
     data=st.data(),
 )
-def test_residual_gram_norm_matches_dense_norm(n, omega, beta, angular, mirrored, data):
+def test_residual_gram_norm_matches_dense_norm(n, omega, beta, angular, data):
     # sqrt of the top eigenvalue of D^T D against the SVD norm of D itself,
     # on a drawn block of resolution_operator and on the N/4 block, where
     # the public residuals must give the same value
@@ -209,11 +247,11 @@ def test_residual_gram_norm_matches_dense_norm(n, omega, beta, angular, mirrored
     for weights, residual in ((np.ones(n), resolution_residual), (lam, frame_operator_residual)):
         for level in (max_level, n // 4):
             cols = block_indices(sp, level)
-            deviation = resolution_operator(sp, spec, scheme, mirrored, level)
+            deviation = resolution_operator(sp, spec, scheme, level)
             deviation[cols, np.arange(cols.size)] -= weights[cols % n]
             norm = _column_block_norm(deviation)
             assert norm == pytest.approx(np.linalg.norm(deviation, 2), rel=1e-13, abs=0.0)
-        assert residual(sp, spec, scheme, mirrored) == norm
+        assert residual(sp, spec, scheme) == norm
 
 
 @pytest.mark.parametrize("n", [5, 9])
@@ -223,10 +261,9 @@ def test_max_level_is_checked(n):
     sp = FockSpace(n)
     spec = ThermalSpec(1.0, 1.0)
     scheme = QuadratureScheme.default(n)
-    for mirrored in (False, True):
-        for bad in (-1, -2, -n):
-            with pytest.raises(ValueError, match="max_level"):
-                resolution_operator(sp, spec, scheme, mirrored, bad)
-        top = resolution_operator(sp, spec, scheme, mirrored, n - 1)
-        for level in (n, 50):
-            assert np.array_equal(resolution_operator(sp, spec, scheme, mirrored, level), top)
+    for bad in (-1, -2, -n):
+        with pytest.raises(ValueError, match="max_level"):
+            resolution_operator(sp, spec, scheme, bad)
+    top = resolution_operator(sp, spec, scheme, n - 1)
+    for level in (n, 50):
+        assert np.array_equal(resolution_operator(sp, spec, scheme, level), top)
