@@ -62,8 +62,9 @@ m2 = rng2.standard_normal((N, N)) + 1j * rng2.standard_normal((N, N))
 m2 = (m2 + m2.conj().T) / 2
 m2 /= np.linalg.norm(m2, 2)
 obs2 = Operator(space, m2)
-for t in (-1.0, 0.0, 0.5, 1.0):
-    print(f"  t={t:+.1f}: residual {kms_residual(md, obs, obs2, t):.2e}")
+times = (-1.0, 0.0, 0.5, 1.0)
+for t, residual in zip(times, kms_residual(md, obs, obs2, times)):
+    print(f"  t={t:+.1f}: residual {residual:.2e}")
 
 j = modular_conjugation(space)
 print("\nModular conjugation squares to the identity:",

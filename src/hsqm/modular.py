@@ -8,7 +8,7 @@ and separating vector Phi = rho^(1/2).  The objects realized here:
 * modular operator     Delta(X) = rho X rho^(-1), with S = J Delta^(1/2),
 * modular flow         sigma_t(A) = rho^(it) A rho^(-it),
 * the KMS boundary condition of the Heisenberg flow of the stored
-  Hamiltonian at the stored inverse temperature.
+  Hamiltonian at the stored inverse temperature, in its energy basis.
 
 Complex powers of rho use its spectral decomposition; eigenvalues are
 real and strictly positive (faithfulness is enforced), so there is no
@@ -130,8 +130,9 @@ class ModularData:
             raise ValueError("Hamiltonian lives on a different Fock space")
         else:
             self._ham_evals, self._ham_evecs = _eig(hamiltonian.mat)
-            boltz = np.exp(-self.beta * self._ham_evals)
-            if np.linalg.norm(mat - _spectral(self._ham_evecs, boltz / boltz.sum())) > 1e-10:
+            # weights from E - E_min: finite at any energy offset; a NaN distance fails
+            boltz = np.exp(-self.beta * (self._ham_evals - np.min(self._ham_evals)))
+            if not np.linalg.norm(mat - _spectral(self._ham_evecs, boltz / boltz.sum())) <= 1e-10:
                 raise ValueError("density is not the Gibbs state of the stored Hamiltonian")
 
     @classmethod
@@ -144,10 +145,6 @@ class ModularData:
     def rho_power(self, z: complex) -> np.ndarray:
         """Principal power rho^z through the cached eigendecomposition."""
         return _spectral(self._evecs, self._evals.astype(complex) ** z)
-
-    def ham_phase(self, z: complex) -> np.ndarray:
-        """e^{i z H} for complex time z."""
-        return _spectral(self._ham_evecs, np.exp(1j * z * self._ham_evals.astype(complex)))
 
     @property
     def sqrt_rho(self) -> Operator:
@@ -187,9 +184,11 @@ def polar_check(md: ModularData) -> float:
     """Max basis-wise HS distance between S and J Delta^(1/2).
 
     Both sides are antilinear sandwiches X -> L X† R (J Delta^(1/2) by the
-    composition rule), evaluated independently on every |a><b|, one row a
-    of N^3 entries at a time; the polar decomposition S = J Delta^(1/2)
-    makes the result vanish to rounding.
+    composition rule), evaluated on every |a><b|, one row a of N^3
+    entries at a time.  They take their factors from ``rho_power``
+    (rho^(-1/2) and rho^(1/2)), so the result measures only the
+    Hermiticity rounding of rho^(1/2), not the polar decomposition, until
+    J and Delta get a construction independent of S.
     """
     s_map = tomita_s(md)
     j_half = modular_conjugation(md.space).after_linear(delta_power(md, 0.5))
@@ -206,32 +205,34 @@ def modular_flow(md: ModularData, t: float) -> SuperOp:
     return delta_power(md, 1j * t)
 
 
-def kms_residual(md: ModularData, a: Operator, b: Operator, t: float) -> float:
-    """Deviation from the thermal boundary condition at time t.
+def kms_residual(md: ModularData, a: Operator, b: Operator, times) -> np.ndarray:
+    """Deviation from the thermal boundary condition, one entry per time.
 
-    With the Heisenberg flow alpha_z(B) = e^{izH} B e^{-izH} of the
-    stored Hamiltonian, a Gibbs density e^{-beta H}/Z satisfies
-
-        Tr[rho A alpha_{t + i beta}(B)] = Tr[rho alpha_t(B) A]
-
-    exactly (:class:`ModularData` checks the pairing once, at
-    construction); the returned residual is the absolute difference of
-    the two traces.  A non-finite t raises ``ValueError``.
+    With alpha_z(B) = e^{izH} B e^{-izH} for the stored Hamiltonian, a
+    Gibbs density satisfies Tr[rho A alpha_{t + i beta}(B)] =
+    Tr[rho alpha_t(B) A] (:class:`ModularData` checks the pairing once).
+    In the energy basis alpha_z(B)[m, n] = e^{izE_m} B[m, n] e^{-izE_n},
+    so each trace is two phase vectors per z around one Hadamard product.
+    Both sides take their phases from e^{+-iz(E - E_min)}; the left keeps
+    the stored rho and the continued factor at t + i beta, since writing
+    it through lambda_m e^{-beta(E_n - E_m)} = lambda_n makes the two
+    sides one sum.  ``times`` is a scalar or 1-D; a non-finite time
+    raises ``ValueError``.
     """
     if a.space != md.space or b.space != md.space:
         raise ValueError("operators live on a different Fock space")
-    if not np.isfinite(t):
+    t = np.atleast_1d(np.asarray(times, dtype=float))
+    if not np.all(np.isfinite(t)):
         raise ValueError("KMS time must be finite")
-    rho = md.rho.mat
-
-    def flow(mat: np.ndarray, z: complex) -> np.ndarray:
-        u = md.ham_phase(z)
-        uinv = md.ham_phase(-z)
-        return u @ mat @ uinv
-
-    lhs = np.trace(rho @ a.mat @ flow(b.mat, t + 1j * md.beta))
-    rhs = np.trace(rho @ flow(b.mat, t) @ a.mat)
-    return float(abs(lhs - rhs))
+    rho, a_mat, b_mat = md.rho.mat, a.mat, b.mat
+    if (v := md._ham_evecs) is not None:
+        rho, a_mat, b_mat = (v.conj().T @ m @ v for m in (rho, a_mat, b_mat))
+    energies = md._ham_evals - np.min(md._ham_evals)
+    # [left, right] sides: z = t + i beta against rho A, z = t against A rho
+    ize = 1j * np.stack([t + 1j * md.beta, t])[:, :, None] * energies
+    hadamard = np.stack([(rho @ a_mat).T, (a_mat @ rho).T]) * b_mat
+    lhs, rhs = np.einsum("sti,sij,stj->st", np.exp(ize), hadamard, np.exp(-ize))
+    return np.abs(lhs - rhs)
 
 
 def state_eval(md: ModularData, a: Operator) -> complex:

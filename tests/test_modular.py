@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
 from hsqm import modular
 from hsqm.commutant import AlgebraGens, algebra_span, span_contains
@@ -211,8 +212,8 @@ def test_kms_number_position():
 @pytest.mark.parametrize("seed", [3, 11, 29])
 def test_kms_non_diagonal_density(seed):
     # the derived Hamiltonian -ln(rho)/beta of a non-diagonal density takes
-    # the eigenvector path in the default Hamiltonian, ham_phase and the
-    # Gibbs check of kms_residual
+    # the eigenvector path in the default Hamiltonian and in the energy
+    # basis of kms_residual
     md = _random_faithful(6, seed)
     rho = md.rho.mat
     assert np.max(np.abs(rho - np.diag(np.diag(rho)))) > 1e-3
@@ -228,6 +229,63 @@ def test_kms_rejects_mismatched_hamiltonian():
     rho = ModularData.from_thermal(sp, ThermalSpec(1.0, 1.0)).rho
     with pytest.raises(ValueError, match="Gibbs state"):
         ModularData(rho, beta=1.0, hamiltonian=osc_hamiltonian(sp, 2.0))
+
+
+_KMS_TIMES = (-1.0, -0.5, 0.0, 0.5, 1.0)
+
+
+@pytest.mark.parametrize("offset", [-1e3, 0.0, 1e3])
+def test_gibbs_pairing_is_offset_invariant(offset):
+    # e^{-beta E} under- or overflows at |E| ~ 1e3; the check and the flow
+    # use E - E_min, so H + c I is the same Gibbs pairing for every c
+    sp = FockSpace(8)
+    rho = ModularData.from_thermal(sp, ThermalSpec(1.0, 1.0)).rho
+    md = ModularData(rho, beta=1.0, hamiltonian=osc_hamiltonian(sp, 1.0) + offset * identity(sp))
+    a = _random_op(8, 41)
+    b = _random_op(8, 42)
+    a, b = (1.0 / hs_norm(a)) * a, (1.0 / hs_norm(b)) * b
+    res = kms_residual(md, a, b, _KMS_TIMES)
+    assert res.shape == (5,)
+    assert np.all(np.isfinite(res)) and np.all(res <= 1e-10)
+
+
+def test_gibbs_check_rejects_wrong_hamiltonian_at_large_offset():
+    sp = FockSpace(8)
+    rho = ModularData.from_thermal(sp, ThermalSpec(1.0, 1.0)).rho
+    with pytest.raises(ValueError, match="Gibbs state"):
+        ModularData(rho, beta=1.0, hamiltonian=osc_hamiltonian(sp, 2.0) + 1e3 * identity(sp))
+
+
+def _expm_kms_residual(md, a, b, t):
+    """|Tr[rho A e^{izH} B e^{-izH}] - Tr[rho e^{itH} B e^{-itH} A]| at
+    z = t + i beta, with H rebuilt from the stored energies."""
+    evecs = np.eye(md.space.dim) if md._ham_evecs is None else md._ham_evecs
+    ham = (evecs * md._ham_evals) @ evecs.conj().T
+    z = t + 1j * md.beta
+    lhs = np.trace(md.rho.mat @ a.mat @ expm(1j * z * ham) @ b.mat @ expm(-1j * z * ham))
+    rhs = np.trace(md.rho.mat @ expm(1j * t * ham) @ b.mat @ expm(-1j * t * ham) @ a.mat)
+    return abs(lhs - rhs)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(3, 7), st.booleans(), st.sampled_from(["energies", "beta"]), st.integers(0, 2**32 - 1))
+def test_kms_residual_matches_expm_reference_off_the_pairing(n, diagonal, broken, seed):
+    # with the pairing broken after construction the residual is ~1e-3, not
+    # rounding noise, so this checks the batched energy-basis formula itself
+    if diagonal:
+        md = ModularData.from_thermal(FockSpace(n), ThermalSpec(1.0, 0.6))
+    else:
+        md = _random_faithful(n, seed)
+    if broken == "energies":
+        md._ham_evals = md._ham_evals * 1.01
+    else:
+        md.beta = md.beta * 1.01
+    a = _random_op(n, seed + 1)
+    b = _random_op(n, seed + 2)
+    a, b = (1.0 / hs_norm(a)) * a, (1.0 / hs_norm(b)) * b
+    expected = [_expm_kms_residual(md, a, b, t) for t in _KMS_TIMES]
+    assert min(expected) > 1e-6
+    np.testing.assert_allclose(kms_residual(md, a, b, _KMS_TIMES), expected, rtol=1e-10, atol=0)
 
 
 def test_state_eval():
