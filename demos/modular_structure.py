@@ -11,11 +11,11 @@ from hsqm import (
     Operator,
     ThermalSpec,
     basis_element,
+    delta_power,
     hs_norm,
     kms_residual,
     modular_conjugation,
     modular_flow,
-    modular_operator,
     polar_check,
     state_eval,
     tomita_s,
@@ -38,7 +38,7 @@ for j, i in ((3, 0), (0, 3), (5, 2)):
     print(f"  (j,i)=({j},{i}): factor {out.mat[i, j].real:.6f}"
           f"   [exp(-(j-i) w b / 2) = {np.exp(-(j - i) * omega * beta / 2):.6f}]")
 
-delta = modular_operator(md)
+delta = delta_power(md, 1.0)  # the modular operator
 x = basis_element(space, 4, 1)
 ratio = hs_norm(delta(x)) / hs_norm(x)
 print("\nModular operator eigenvalue on |4><1|:",

@@ -4,25 +4,25 @@
 #
 import numpy as np
 
-from hsqm import FockSpace, ModularData, QuadratureScheme, ThermalSpec, gibbs_density, hs_norm
+from hsqm import FockSpace, ModularData, QuadratureScheme, ThermalSpec, block_indices, gibbs_density, hs_norm
 from hsqm.thermal import (
     frame_operator_residual,
     resolution_operator,
     resolution_residual,
     s_beta_reflection,
     thermal_cs,
-    thermal_vector,
 )
 
 N, omega, beta = 24, 1.0, 1.0
 space = FockSpace(N)
 spec = ThermalSpec(omega, beta)
 scheme = QuadratureScheme.default(N)
+md = ModularData.from_thermal(space, spec)
 
 print(f"Displaced Gibbs purification on {N} levels, omega*beta = {omega * beta}")
 print("=" * 64)
 
-phi = thermal_vector(space, spec)
+phi = md.sqrt_rho
 print("\nPurification Phi = rho^(1/2): unit vector of B2(H), diagonal:")
 print("  first amplitudes:", np.round(np.diag(phi.mat).real[:5], 4))
 
@@ -31,7 +31,6 @@ print("\n|z> = D(z) Phi at z = 0.7+0.2j:")
 print("  norm:", f"{hs_norm(cs):.12f}")
 
 print("\nTomita reflection S|z> = |-z> (exact up to truncation):")
-md = ModularData.from_thermal(space, spec)
 for z in (0.4, 0.9j, 0.5 - 0.5j):
     print(f"  z={z}: residual {s_beta_reflection(md, z):.2e}")
 
@@ -46,8 +45,9 @@ print(f"  deviation from the identity (low block):    {ident:.6f}")
 print(f"  predicted max |lambda_b - 1| on the block:  {max(abs(lam[: N // 4 + 1] - 1)):.6f}")
 print(f"  deviation from kron(I, rho):                {frame:.2e}")
 
-dense = resolution_operator(space, spec, scheme)
+cols = block_indices(space)
+block = resolution_operator(space, spec, scheme)  # columns cols of the N^2 x N^2 operator
 print("\n  diagonal elements of the assembled operator vs Gibbs weights:")
 for b in range(4):
     idx = 0 * N + b
-    print(f"    |0><{b}|: {dense[idx, idx]:.6f}   lambda_{b} = {lam[b]:.6f}")
+    print(f"    |0><{b}|: {block[idx, np.searchsorted(cols, idx)]:.6f}   lambda_{b} = {lam[b]:.6f}")

@@ -87,9 +87,6 @@ class Operator:
         """Hermitian adjoint."""
         return Operator(self.space, self.mat.conj().T)
 
-    def trace(self) -> complex:
-        return complex(np.trace(self.mat))
-
     def _same_space(self, other: "Operator") -> None:
         if self.space != other.space:
             raise ValueError("operators live on different Fock spaces")

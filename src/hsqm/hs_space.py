@@ -50,12 +50,14 @@ def basis_element(space: FockSpace, n: int, l: int) -> Operator:
     return Operator(space, mat)
 
 
-def block_indices(space: FockSpace, max_level: int) -> np.ndarray:
-    """Row-major indices n*N + l of the |n><l| with n, l <= max_level; a
-    max_level >= N keeps every level, a negative one (empty block) raises."""
-    if max_level < 0:
-        raise ValueError(f"max_level must be >= 0, got {max_level}")
-    keep = np.arange(min(max_level, space.dim - 1) + 1)
+def _block_levels(space: FockSpace) -> np.ndarray:
+    """The levels 0..N/4, where every resolution contract is checked."""
+    return np.arange(space.dim // 4 + 1)
+
+
+def block_indices(space: FockSpace) -> np.ndarray:
+    """Row-major indices n*N + l of the |n><l| with n, l <= N/4."""
+    keep = _block_levels(space)
     return (keep[:, None] * space.dim + keep[None, :]).ravel()
 
 

@@ -31,6 +31,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .fock import FockSpace, Operator, _coherent_columns, annihilation
+from .hs_space import _block_levels
 from .quadrature import QuadratureScheme
 from .thermal import _column_block_norm
 
@@ -43,7 +44,6 @@ __all__ = [
     "partition",
     "husimi_trace_residual",
     "lll_state",
-    "lll_overlap",
     "reproducing_kernel",
     "project_hol",
     "uncertainty_report",
@@ -100,10 +100,10 @@ def chiral_frequencies(p: LandauParams) -> ChiralFrequencies:
 
     The discriminant 1 - M w_c theta/2 + (M Omega theta/4)^2 must be
     positive for the ladder scale to be real.  omega_c_tilde is the
-    first-order-in-theta dressing of the cyclotron frequency; for large
-    theta it can push Omega_minus negative, which downstream operations
-    guard against rather than re-derive.  Parameters whose closed forms
-    overflow double precision raise ``ValueError`` too.
+    first-order-in-theta dressing of the cyclotron frequency; it can push
+    Omega_minus negative (at omega0 = 0, every 0 < M w_c theta < 2 does):
+    the thermal functions reject that, ``spectrum`` does not.  Parameters whose
+    closed forms overflow double precision raise ``ValueError`` too.
     """
     try:
         omega_sq = p.omega0**2 + p.omega_c**2 / 4.0
@@ -213,16 +213,11 @@ def husimi_trace_residual(p: LandauParams, beta: float, scheme: QuadratureScheme
 def lll_state(m: int, z_plus: complex) -> complex:
     """Lowest-level wavefunction of angular index m at the point z_plus,
     with magnetic length 1:  (2 pi m!)^(-1/2) (z/sqrt(2))^m e^(-|z|^2/4),
-    the coherent overlap at z/sqrt(2) over sqrt(2 pi)."""
-    return lll_overlap(m, complex(z_plus) / math.sqrt(2.0)) / math.sqrt(2.0 * math.pi)
-
-
-def lll_overlap(m: int, z_tilde: complex) -> complex:
-    """Coherent overlap form <m|z> = e^(-|z|^2/2) z^m / sqrt(m!), entry m
-    of column 0 of D(z)."""
+    the coherent overlap <m|z/sqrt(2)> over sqrt(2 pi)."""
     if m < 0:
         raise ValueError("angular index must be nonnegative")
-    return complex(_coherent_columns(m + 1, z_tilde)[0, m])
+    overlap = _coherent_columns(m + 1, complex(z_plus) / math.sqrt(2.0))[0, m]
+    return complex(overlap) / math.sqrt(2.0 * math.pi)
 
 
 def reproducing_kernel(space: FockSpace, z: complex, z_prime: complex) -> complex:
@@ -334,16 +329,10 @@ def tensor_resolution_residual(space: FockSpace, scheme: QuadratureScheme) -> fl
 
     Each sector resolves as the sandwich X -> P X P of the classical frame
     P, dense form kron(P, P) (P is real), whose block columns are the
-    krons of P's block columns.  For small spaces the full tensor
-    operator is formed; otherwise the sector deviations are combined
-    into the exact triangle bound r+ (1 + r-) + r-."""
-    n = space.dim
-    keep = np.arange(n // 4 + 1)
+    krons of P's block columns.  The sector deviations are combined into
+    the exact triangle bound r+ (1 + r-) + r-, at every N."""
+    keep = _block_levels(space)
     p = classical_frame(space, scheme)[:, keep]
-    e = np.eye(n)[:, keep]
-    sector, eye = np.kron(p, p), np.kron(e, e)
-    if n**4 <= 4096:
-        return _column_block_norm(np.kron(sector, sector) - np.kron(eye, eye))
-    r = _column_block_norm(sector - eye)
+    e = np.eye(space.dim)[:, keep]
+    r = _column_block_norm(np.kron(p, p) - np.kron(e, e))
     return r * (1.0 + r) + r
-

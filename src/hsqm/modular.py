@@ -25,7 +25,6 @@ from .hs_space import SuperOp, vee
 __all__ = [
     "ModularData",
     "AntilinearMap",
-    "modular_operator",
     "modular_conjugation",
     "tomita_s",
     "delta_power",
@@ -152,13 +151,9 @@ class ModularData:
         return Operator(self.space, self.rho_power(0.5))
 
 
-def modular_operator(md: ModularData) -> SuperOp:
-    """Delta : X -> rho X rho^(-1); positive with spectrum {l_n / l_m}."""
-    return delta_power(md, 1.0)
-
-
 def delta_power(md: ModularData, s: complex) -> SuperOp:
-    """Delta^s : X -> rho^s X rho^(-s) for complex s (s = it: the modular flow)."""
+    """Delta^s : X -> rho^s X rho^(-s) for complex s (s = it: the modular
+    flow; s = 1: the modular operator Delta, positive, spectrum {l_n / l_m})."""
     left = Operator(md.space, md.rho_power(s))
     right = Operator(md.space, md.rho_power(-np.conj(s)))  # adjoint inside vee
     return vee(left, right)

@@ -116,7 +116,7 @@ class QuadratureScheme:
         """Column 0 of the radial matrices, <n|sqrt(t_r)>, shape (R, N): R * N entries."""
         return _coherent_columns(space.dim, np.sqrt(self.radial_nodes)).real
 
-    def _ring_gram(self, mats: np.ndarray, columns: np.ndarray | None = None) -> np.ndarray:
+    def _ring_gram(self, mats: np.ndarray, columns: np.ndarray | slice = slice(None)) -> np.ndarray:
         """The node sum (1/2pi) integral vec(M) vec(M)^† dx dy, where
         M = e^(i(m-n) phi_a) mats[r] at node (r, a) and (m, n) indexes the
         last two axes of ``mats`` (shape (R, M, M')).
@@ -128,9 +128,8 @@ class QuadratureScheme:
         rings, rows, cols = mats.shape
         charge = np.subtract.outer(np.arange(rows), np.arange(cols)).ravel() % count
         vecs = mats.reshape(rings, rows * cols)
-        keep = slice(None) if columns is None else columns
-        gram = (vecs.T * self.ring_weights) @ vecs[:, keep]
-        return np.where(charge[:, None] == charge[keep], gram, 0.0)
+        gram = (vecs.T * self.ring_weights) @ vecs[:, columns]
+        return np.where(charge[:, None] == charge[columns], gram, 0.0)
 
     def xy_nodes(self) -> tuple[np.ndarray, np.ndarray]:
         """Cartesian nodes under the z = (y - ix)/sqrt(2) convention."""

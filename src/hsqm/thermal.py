@@ -17,9 +17,9 @@ frame operator (truncation-level small).
 
 Assembly is block-sparse by charge: on the polar quadrature nodes the
 family is R radial states times a phase e^(i(m-n) phi), and the angular
-sum keeps only entries whose charges m - n agree mod A.  The residuals
-assemble only the M columns of the block they check, one (N^2 x R) @
-(R x M) real product, not a sum over all K = R * A nodes.
+sum keeps only entries whose charges m - n agree mod A.  Every residual
+assembles only the M columns of the one block of levels <= N/4, one
+(N^2 x R) @ (R x M) real product, not a sum over all K = R * A nodes.
 
 The Tomita map of the thermal state reflects the family through the
 origin: S(|z>) = |-z>, exactly, since D(z)† = D(-z).  The mirrored
@@ -41,7 +41,6 @@ from .modular import ModularData, tomita_s
 from .quadrature import QuadratureScheme
 
 __all__ = [
-    "thermal_vector",
     "thermal_cs",
     "safe_radius",
     "resolution_operator",
@@ -50,11 +49,6 @@ __all__ = [
     "s_beta_reflection",
     "cs_overlap",
 ]
-
-
-def thermal_vector(space: FockSpace, spec: ThermalSpec) -> Operator:
-    """Phi_beta = rho_beta^(1/2): diagonal, positive, unit HS norm."""
-    return Operator(space, np.diag(np.sqrt(_gibbs_weights(space, spec))).astype(complex))
 
 
 def safe_radius(space: FockSpace) -> float:
@@ -84,8 +78,8 @@ def _displaced_purifications(space: FockSpace, spec: ThermalSpec, zs: list[compl
 
 
 def thermal_cs(space: FockSpace, spec: ThermalSpec, z: complex) -> Operator:
-    """|z> = D(z) Phi_beta, itself the vector of B2(H_N): a displaced
-    Gibbs purification with unit HS norm (up to truncation).
+    """|z> = D(z) Phi_beta (Phi_beta = rho_beta^(1/2) at z = 0), a vector
+    of B2(H_N): a displaced Gibbs purification with unit HS norm (up to truncation).
 
     Rejects labels outside the safe disc, where truncation would make
     the norm contract unverifiable.
@@ -94,23 +88,22 @@ def thermal_cs(space: FockSpace, spec: ThermalSpec, z: complex) -> Operator:
 
 
 def resolution_operator(
-    space: FockSpace, spec: ThermalSpec, scheme: QuadratureScheme, max_level: int | None = None
+    space: FockSpace, spec: ThermalSpec, scheme: QuadratureScheme
 ) -> np.ndarray:
-    """Quadrature assembly of (1/2pi) * integral |z><z| dx dy as a dense
-    superoperator on B2(H_N): a real N^2 x N^2 array acting on row-major
-    vectorized X.  A ``max_level`` assembles only the columns
-    ``block_indices(space, max_level)``.
+    """Columns ``block_indices(space)`` (levels <= N/4) of the quadrature
+    assembly of (1/2pi) * integral |z><z| dx dy as a superoperator on
+    B2(H_N): a real N^2 x M array acting on row-major vectorized X.
 
     Assembled from the R radial states D(sqrt(t_r)) Phi_beta, not the
     K = R * A node states: the angular sum keeps only entries whose
-    charges m - n agree mod A, so the matrix is block-sparse by charge
-    (see :mod:`hsqm.quadrature`).  The radial states are real, so the
-    assembled matrix is real too.  The reflected family |-z> assembles
-    to S G S, with S the charge sign (-1)^(m-n) on rows and columns.
+    charges m - n agree mod A (see :mod:`hsqm.quadrature`).  The radial
+    states are real, so the columns are real too.  The reflected family
+    |-z> assembles to S G S, with S the charge sign (-1)^(m-n) on rows
+    and columns.
     """
     sqrt_lam = np.sqrt(_gibbs_weights(space, spec))
     states = scheme._radial_stack(space) * sqrt_lam  # D(sqrt(t_r)) @ diag(sqrt(lambda))
-    return scheme._ring_gram(states, None if max_level is None else block_indices(space, max_level))
+    return scheme._ring_gram(states, block_indices(space))
 
 
 def _column_block_norm(block: np.ndarray) -> float:
@@ -127,9 +120,8 @@ def _right_weight_deviation(
     """Operator-norm distance between the assembled family and right
     multiplication by diag(weights) (dense form kron(I, diag(weights))),
     on levels <= N/4, from the M x M Gram D^T D."""
-    max_level = space.dim // 4
-    cols = block_indices(space, max_level)
-    deviation = resolution_operator(space, spec, scheme, max_level)
+    cols = block_indices(space)
+    deviation = resolution_operator(space, spec, scheme)
     # the reference is diagonal: entry n*N + l carries weights[l]
     deviation[cols, np.arange(cols.size)] -= weights[cols % space.dim]
     return _column_block_norm(deviation)

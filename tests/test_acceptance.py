@@ -27,7 +27,7 @@ from hsqm.fock import (
     gibbs_density,
     identity,
 )
-from hsqm.hs_space import basis_element, hs_norm, vee
+from hsqm.hs_space import basis_element, block_indices, hs_norm, vee
 from hsqm.landau import (
     LandauParams,
     chiral_frequencies,
@@ -188,6 +188,7 @@ def test_c05a_thermal_cs_resolution_identity():
     gap = 1.0 - lam[n // 4]
     keep = np.arange(n // 4 + 1)
     cols = (keep[:, None] * n + keep[None, :]).ravel()  # row-major |k><l| -> k*N + l
+    assert np.array_equal(block_indices(sp), cols)  # the columns resolution_operator assembles
     weight = np.tile(lam, n)[cols]  # diagonal of kron(I, diag(lambda)) on the block
     eye = np.eye(n * n)[:, cols]
 
@@ -196,7 +197,7 @@ def test_c05a_thermal_cs_resolution_identity():
 
     mirror_states = displacement_stack(sp, -np.sqrt(scheme.radial_nodes)).real * np.sqrt(lam)
     blocks = {
-        "family": resolution_operator(sp, spec, scheme)[:, cols],
+        "family": resolution_operator(sp, spec, scheme),
         "mirror": scheme._ring_gram(mirror_states, cols),
     }
     rows = {}

@@ -3,10 +3,14 @@ import io
 import json
 import math
 
+import numpy as np
 import pytest
 
 from hsqm import cli
+from hsqm.fock import FockSpace
+from hsqm.landau import classical_frame
 from hsqm.quadrature import QuadratureScheme
+from known_red import known_red_excess
 
 
 def _run(tmp_path, argv, name="out.csv"):
@@ -168,23 +172,34 @@ def test_husimi_grid(tmp_path):
 def test_resolution_reports_defect_honestly(tmp_path):
     # the identity-form residual cannot meet its contract (the family
     # resolves the Gibbs-weighted frame operator); exit code 1 with both
-    # residuals reported
-    code, raw = _run(tmp_path, ["resolution", "--N", "12"])
-    assert code == 1
-    rows = {r["name"]: r for r in _rows(raw) if r["kind"] == "row"}
-    assert float(rows["hiho_identity_residual"]["value"]) > 0.1
-    assert float(rows["hiho_frame_residual"]["value"]) <= 1e-5
-    assert float(rows["xaxa_frame_residual"]["value"]) <= 1e-5
-    assert float(rows["resolv_residual"]["value"]) <= 1e-5
+    # residuals reported, and each identity row at the Gibbs weight gap
+    # 1 - lambda_{N//4} to within the frame residual
+    for n in (12, 24):
+        code, raw = _run(tmp_path, ["resolution", "--N", str(n)])
+        assert code == 1
+        rows = {r["name"]: r for r in _rows(raw) if r["kind"] == "row"}
+        assert all(excess <= 0.0 for excess in known_red_excess(raw, n).values())
+        assert float(rows["hiho_frame_residual"]["value"]) <= 1e-5
+        assert float(rows["xaxa_frame_residual"]["value"]) <= 1e-5
+        assert float(rows["resolv_residual"]["value"]) <= 1e-5
 
 
-def test_resolution_exact_tensor_branch_at_n8(tmp_path):
-    # N = 8 is the largest space whose two-sector residual is computed
-    # exactly (N^4 = 4096) rather than by the triangle bound
+def test_resolution_triangle_bound_at_n8(tmp_path):
+    # resolv_residual prints the triangle bound r (1 + r) + r of the
+    # sector deviation r at every N.  At N = 8 (N^4 = 4096) the exact
+    # four-index deviation is still cheap to form; the bound may not
+    # undercut it
     code, raw = _run(tmp_path, ["resolution", "--N", "8"])
     assert code == 1  # the unweighted identity rows stay red
     rows = {r["name"]: r for r in _rows(raw) if r["kind"] == "row"}
-    assert float(rows["resolv_residual"]["value"]) <= 1e-5
+    value = float(rows["resolv_residual"]["value"])
+    assert value <= 1e-5
+    sp = FockSpace(8)
+    keep = np.arange(8 // 4 + 1)
+    p, e = classical_frame(sp, QuadratureScheme.default(8))[:, keep], np.eye(8)[:, keep]
+    sector, eye = np.kron(p, p), np.kron(e, e)
+    exact = float(np.linalg.norm(np.kron(sector, sector) - np.kron(eye, eye), 2))
+    assert exact <= value * (1.0 + 1e-14)
 
 
 def test_resolution_builds_two_radial_stacks(tmp_path, monkeypatch):

@@ -8,11 +8,14 @@ every named contract red, where the unpatched run holds them.
 
 import csv
 
+import numpy as np
 import pytest
 
-from hsqm import cli, modular
+from hsqm import cli, hs_space, modular, quadrature
+from known_red import known_red_excess
 
 _FROM_THERMAL = modular.ModularData.from_thermal
+_LAGUERRE_RULE = quadrature._laguerre_rule
 
 
 def _energies_scaled(space, spec):
@@ -29,12 +32,33 @@ def _beta_scaled(space, spec):
     return md
 
 
+def _ring0_weight_scaled(radial_count):
+    # the innermost ring of the radial rule carries 1 % too much weight;
+    # the cached rule itself is read-only and left as it is
+    t, ring = _LAGUERRE_RULE(radial_count)
+    ring = ring.copy()
+    ring[0] *= 1.01
+    return t, ring
+
+
 MUTANTS = [
     ("kms-energies-x1.01", modular.ModularData, "from_thermal", staticmethod(_energies_scaled),
      ["kms", "--N", "16"], ["kms_max_residual"]),
     ("kms-beta-x1.01", modular.ModularData, "from_thermal", staticmethod(_beta_scaled),
      ["kms", "--N", "16"], ["kms_max_residual"]),
+    ("wigner-ring0-weight-x1.01", quadrature, "_laguerre_rule", _ring0_weight_scaled,
+     ["wigner", "--N", "16"], ["roundtrip_residual_00", "roundtrip_residual_12", "unitarity_gram_max_dev"]),
+    ("kernel-ring0-weight-x1.01", quadrature, "_laguerre_rule", _ring0_weight_scaled,
+     ["kernel", "--N", "20"], ["project_hol_max_err"]),
+    ("husimi-ring0-weight-x1.01", quadrature, "_laguerre_rule", _ring0_weight_scaled,
+     ["husimi", "--N", "16"], ["husimi_trace_residual"]),
+    ("resolution-ring0-weight-x1.01", quadrature, "_laguerre_rule", _ring0_weight_scaled,
+     ["resolution", "--N", "16"], ["hiho_frame_residual", "xaxa_frame_residual", "resolv_residual"]),
 ]
+#: exit codes of the unpatched runs that are not 0: ``resolution`` reports
+#: the unweighted identity diagnostic, red by design, so it exits 1 both
+#: ways and its rows are read green -> red
+BASE_EXIT = {"resolution": 1}
 
 
 def _contracts(path):
@@ -45,11 +69,31 @@ def _contracts(path):
 @pytest.mark.parametrize("name, target, attr, replacement, argv, red", MUTANTS, ids=[m[0] for m in MUTANTS])
 def test_contract_turns_red_under_mutant(name, target, attr, replacement, argv, red, tmp_path, monkeypatch):
     out = tmp_path / "out.csv"
-    assert cli.main(argv + ["--out", str(out)]) == 0
+    assert cli.main(argv + ["--out", str(out)]) == BASE_EXIT.get(argv[0], 0)
     assert all(_contracts(out)[c] == "true" for c in red)
     monkeypatch.setattr(target, attr, replacement)
     assert cli.main(argv + ["--out", str(out)]) == 1
     assert all(_contracts(out)[c] == "false" for c in red)
+
+
+def _block_one_level_up(space):
+    # the block of the thermal resolution contracts reaches level N/4 + 1
+    return np.arange(space.dim // 4 + 2)
+
+
+@pytest.mark.parametrize("n", [12, 24])
+def test_known_red_rule_catches_block_off_by_one(n, tmp_path, monkeypatch):
+    # no contract turns red under this mutant and the exit code stays 1;
+    # the value rule of the known-red identity rows is what catches it
+    out = tmp_path / "out.csv"
+    argv = ["resolution", "--N", str(n), "--out", str(out)]
+    assert cli.main(argv) == 1
+    contracts = _contracts(out)
+    assert all(excess <= 0.0 for excess in known_red_excess(out.read_bytes(), n).values())
+    monkeypatch.setattr(hs_space, "_block_levels", _block_one_level_up)
+    assert cli.main(argv) == 1
+    assert _contracts(out) == contracts
+    assert all(excess > 0.0 for excess in known_red_excess(out.read_bytes(), n).values())
 
 
 def test_kms_calls_residual_once_per_pair(tmp_path, monkeypatch):

@@ -22,7 +22,6 @@ from hsqm.landau import (
     LandauParams,
     chiral_frequencies,
     husimi,
-    lll_overlap,
     lll_state,
     project_hol,
     reproducing_kernel,
@@ -52,7 +51,7 @@ NON_FINITE = {
     "wigner_function_x": lambda v: wigner_function(basis_element(SP, 1, 0))(v, 0.0),
     "wigner_function_y": lambda v: wigner_function(basis_element(SP, 1, 0))(np.zeros(2), np.array([0.5, v])),
     "lll_state": lambda v: lll_state(2, v),
-    "lll_overlap": lambda v: lll_overlap(2, complex(0.3, v)),
+    "lll_state_imag": lambda v: lll_state(2, complex(0.3, v)),
     "reproducing_kernel_z": lambda v: reproducing_kernel(SP, v, 0.5),
     "reproducing_kernel_z_prime": lambda v: reproducing_kernel(SP, 0.5, complex(0.1, v)),
     "husimi_plus": lambda v: husimi(DEFAULT, 1.0, v, 0.0),
@@ -108,7 +107,7 @@ GUARDS = {
         "overflow double precision in the chiral frequencies",
         lambda: chiral_frequencies(LandauParams(1.0, 1e150, 1e-10, 1e-160)),
     ),
-    "lll_overlap-negative": (ValueError, "angular index must be nonnegative", lambda: lll_overlap(-1, 0.5)),
+    "lll_state-negative": (ValueError, "angular index must be nonnegative", lambda: lll_state(-1, 0.5)),
     "AntilinearMap-shape": (
         ValueError,
         "sandwich factors have wrong shape",

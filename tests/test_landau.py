@@ -9,14 +9,13 @@ from hypothesis import strategies as st
 from scipy.special import gammaln
 
 from hsqm.fock import FockSpace, displacement_stack
-from hsqm.hs_space import basis_element, block_indices
+from hsqm.hs_space import basis_element
 from hsqm.landau import (
     LandauParams,
     chiral_frequencies,
     classical_frame,
     husimi,
     husimi_trace_residual,
-    lll_overlap,
     lll_state,
     partition,
     project_hol,
@@ -95,6 +94,18 @@ def test_spectrum_closed_forms():
 
     flat = spectrum(LandauParams(mass=1.0, omega0=0.0, omega_c=2.0, theta=0.0), 5)
     assert np.max(np.abs(flat - flat[:, :1])) == 0.0  # degenerate in n_minus
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the dressed closed forms give Omega_minus = -9.9e-4 at omega0 = 0, theta = 0.1, "
+    "where the normal modes of the Hamiltonian give 0 (ROADMAP item 14)",
+)
+def test_pure_landau_levels_are_degenerate_in_n_minus():
+    # without a trap the Landau levels are infinitely degenerate at any
+    # theta: the energy may not depend on n_minus
+    table = spectrum(LandauParams(mass=1.0, omega0=0.0, omega_c=2.0, theta=0.1), 8)
+    assert np.max(np.ptp(table, axis=1)) <= 1e-12 * np.max(np.abs(table))
 
 
 def test_spectrum_overflow_raises_without_warning():
@@ -252,15 +263,20 @@ def test_lll_state_values():
     expect = (z / math.sqrt(2)) ** 3 / math.sqrt(2 * math.pi * 6) * math.exp(-abs(z) ** 2 / 4)
     assert lll_state(3, z) == pytest.approx(expect, abs=1e-14)
     for m in (1, 2, 5):
-        assert lll_overlap(m, 0.0) == 0.0
-    total = sum(abs(lll_overlap(m, 0.8 - 0.4j)) ** 2 for m in range(60))
+        assert lll_state(m, 0.0) == 0.0
+    total = sum(abs(_lll_overlap(m, 0.8 - 0.4j)) ** 2 for m in range(60))
     assert total == pytest.approx(1.0, abs=1e-13)
+
+
+def _lll_overlap(m, w):
+    """<m|w> = e^(-|w|^2/2) w^m / sqrt(m!), read off lll_state at z = sqrt(2) w."""
+    return math.sqrt(2.0 * math.pi) * lll_state(m, math.sqrt(2.0) * w)
 
 
 def test_projector_coherent_elements():
     sp = FockSpace(32)
     z, zp = 0.7 - 0.2j, -0.4 + 0.5j
-    elem = sum(lll_overlap(m, z) * np.conj(lll_overlap(m, zp)) for m in range(sp.dim))
+    elem = sum(_lll_overlap(m, z) * np.conj(_lll_overlap(m, zp)) for m in range(sp.dim))
     expect = math.exp(-(abs(z) ** 2 + abs(zp) ** 2) / 2.0) * np.exp(z * np.conj(zp))
     assert elem == pytest.approx(expect, abs=1e-13)
 
@@ -318,7 +334,6 @@ def test_tensor_resolution_endpoint():
     sp = FockSpace(6)
     scheme = QuadratureScheme.default(6)
     assert tensor_resolution_residual(sp, scheme) <= 1e-5
-    # larger space goes through the sector bound
     sp16 = FockSpace(16)
     assert tensor_resolution_residual(sp16, QuadratureScheme.default(16)) <= 1e-5
 
@@ -372,23 +387,30 @@ def test_frames_from_column_zero_match_full_stack(n, radial, angular):
     "n, max_level", [(n, None) for n in range(4, 10)] + [(6, 2), (7, 3), (8, 1), (9, 2)]
 )
 def test_tensor_resolution_residual_matches_full_kron(n, max_level):
-    # the sector operator is kron(P, P) sliced to the block columns; up to
-    # N^4 = 4096 the two-sector residual is exact, above it the triangle
-    # bound.  Kronning only the block columns of P must not move a bit, and
-    # the norm from the column Gram must agree with the SVD norm.
-    # the public residual is fixed at the N/4 block; the other blocks check
-    # the kron of block columns and the Gram norm alone
+    # the sector operator is kron(P, P) sliced to the block columns, and
+    # the two-sector residual is the triangle bound r (1 + r) + r of its
+    # deviation r.  Kronning only the block columns of P must not move a
+    # bit, and the norm from the column Gram must agree with the SVD norm.
+    # Up to N^4 = 4096 the full four-index kron is the oracle: its exact
+    # deviation may not exceed the bound.  The public residual is fixed at
+    # the N/4 block; the other blocks check the kron of block columns and
+    # the Gram norm alone
     sp = FockSpace(n)
     level = n // 4 if max_level is None else max_level
-    cols = block_indices(sp, level)
+    keep = np.arange(level + 1)
+    cols = (keep[:, None] * n + keep[None, :]).ravel()
     for radial, angular in _scheme_sizes(n):
         scheme = QuadratureScheme(radial, angular)
         frame = classical_frame(sp, scheme)
         sector = np.kron(frame, frame)[:, cols]
         eye = np.eye(n * n)[:, cols]
-        deviation = np.kron(sector, sector) - np.kron(eye, eye) if n**4 <= 4096 else sector - eye
-        r, svd_r = _column_block_norm(deviation), float(np.linalg.norm(deviation, 2))
+        r, svd_r = _column_block_norm(sector - eye), float(np.linalg.norm(sector - eye, 2))
         assert r == pytest.approx(svd_r, rel=1e-14, abs=0.0)
-        reference = r if n**4 <= 4096 else r * (1.0 + r) + r
+        bound = r * (1.0 + r) + r
+        if n**4 <= 4096:
+            deviation = np.kron(sector, sector) - np.kron(eye, eye)
+            exact = _column_block_norm(deviation)
+            assert exact == pytest.approx(np.linalg.norm(deviation, 2), rel=1e-14, abs=0.0)
+            assert exact <= bound * (1.0 + 1e-14)
         if level == n // 4:
-            assert tensor_resolution_residual(sp, scheme) == reference
+            assert tensor_resolution_residual(sp, scheme) == bound

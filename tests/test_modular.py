@@ -17,7 +17,6 @@ from hsqm.modular import (
     kms_residual,
     modular_conjugation,
     modular_flow,
-    modular_operator,
     polar_check,
     state_eval,
     tomita_s,
@@ -41,7 +40,7 @@ def test_maximally_mixed_is_trivial():
     sp = FockSpace(5)
     md = ModularData(Operator(sp, np.eye(5) / 5.0), beta=1.0)
     x = _random_op(5, 0)
-    assert hs_norm(modular_operator(md)(x) - x) <= 1e-14
+    assert hs_norm(delta_power(md, 1.0)(x) - x) <= 1e-14
     assert polar_check(md) == 0.0
 
 
@@ -49,7 +48,7 @@ def test_modular_spectrum_thermal():
     sp = FockSpace(6)
     spec = ThermalSpec(1.0, 0.9)
     md = ModularData.from_thermal(sp, spec)
-    delta = modular_operator(md)
+    delta = delta_power(md, 1.0)
     for n, l in ((0, 3), (2, 1), (5, 0)):
         x = basis_element(sp, n, l)
         ratio = math.exp(-(n - l) * 0.9)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from hsqm.fock import FockSpace, Operator, ThermalSpec, displacement_stack, gibbs_density
-from hsqm.hs_space import hs_inner
+from hsqm.hs_space import block_indices, hs_inner
 from hsqm.quadrature import QuadratureScheme, _laguerre_rule
 from hsqm.thermal import resolution_operator
 from hsqm.wigner import unitarity_residual, wigner_function, wigner_inverse
@@ -94,7 +94,8 @@ def test_xy_convention():
 
 # -- polar path against brute force ------------------------------------------
 #
-# resolution_operator, wigner_inverse and unitarity_residual build their
+# _ring_gram (the full frame, an oracle for resolution_operator's block
+# columns), wigner_inverse and unitarity_residual build their
 # node sums from R radial matrices and the mod-A charge rule; the
 # references below sum over all K = R*A node matrices directly.  Aliased
 # schemes (A < 2N - 1) with odd and even A exercise charges that differ
@@ -122,7 +123,9 @@ def _random_operator(sp, seed):
 @pytest.mark.parametrize("mirrored", [False, True])
 def test_resolution_operator_matches_node_sum(n, radial, angular, mirrored):
     # the mirrored family |-z> summed over the nodes -z is the family's
-    # frame G conjugated by the charge sign S = (-1)^(m-n): S G S
+    # frame G conjugated by the charge sign S = (-1)^(m-n): S G S.  The
+    # full G from the radial states is the oracle; the library assembles
+    # its columns block_indices(sp) alone
     sp = FockSpace(n)
     spec = ThermalSpec(1.0, 0.7)
     scheme = QuadratureScheme(radial, angular)
@@ -131,8 +134,11 @@ def test_resolution_operator_matches_node_sum(n, radial, angular, mirrored):
     vecs = (stack * sqrt_lam).reshape(len(scheme.z_nodes), n * n)
     reference = (vecs.T * (node_weights(scheme) / (2 * math.pi))) @ vecs.conj()
     sign = (-1.0) ** np.add.outer(np.arange(n), np.arange(n)).ravel() if mirrored else np.ones(n * n)
-    got = sign[:, None] * resolution_operator(sp, spec, scheme) * sign
+    got = sign[:, None] * scheme._ring_gram(scheme._radial_stack(sp) * sqrt_lam) * sign
     assert np.max(np.abs(got - reference)) <= 1e-13
+    cols = block_indices(sp)
+    block = sign[:, None] * resolution_operator(sp, spec, scheme) * sign[cols]
+    assert np.max(np.abs(block - reference[:, cols])) <= 1e-13
 
 
 @pytest.mark.parametrize("n, radial, angular", POLAR_CASES)

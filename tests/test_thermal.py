@@ -18,24 +18,27 @@ from hsqm.thermal import (
     s_beta_reflection,
     safe_radius,
     thermal_cs,
-    thermal_vector,
 )
+
+# The thermal vector Phi_beta = rho_beta^(1/2) is the family at z = 0.
 
 
 def test_thermal_vector_ground_limit():
     sp = FockSpace(8)
-    phi = thermal_vector(sp, ThermalSpec(1.0, math.inf))
+    phi = thermal_cs(sp, ThermalSpec(1.0, math.inf), 0.0)
     assert hs_norm(phi - basis_element(sp, 0, 0)) == 0.0
 
 
 def test_thermal_vector_norm_and_entries():
     sp = FockSpace(20)
     spec = ThermalSpec(1.0, 1.2)
-    phi = thermal_vector(sp, spec)
+    phi = thermal_cs(sp, spec, 0.0)
     assert hs_norm(phi) == pytest.approx(1.0, abs=1e-14)
     analytic = np.sqrt((1 - math.exp(-1.2)) * np.exp(-1.2 * np.arange(20)))
     rel = np.abs(np.diag(phi.mat).real - analytic) / analytic
     assert np.max(rel) <= math.exp(-0.9 * 20 * 1.2)
+    # the same vector as the modular data's cyclic and separating vector
+    assert hs_norm(phi - ModularData.from_thermal(sp, spec).sqrt_rho) <= 1e-15
 
 
 def test_cs_at_origin_and_safety():
@@ -43,7 +46,9 @@ def test_cs_at_origin_and_safety():
     spec = ThermalSpec(1.0, 0.9)
     cs = thermal_cs(sp, spec, 0.0)
     assert isinstance(cs, Operator)
-    assert hs_norm(cs - thermal_vector(sp, spec)) == 0.0
+    # D(0) is the identity, so |0> is diag(sqrt(lambda)), the entrywise
+    # root of the diagonal density, to the bit
+    assert hs_norm(cs - Operator(sp, np.sqrt(gibbs_density(sp, spec).mat))) == 0.0
     with pytest.raises(ValueError):
         thermal_cs(sp, spec, 1.5 * safe_radius(sp))
 
@@ -96,19 +101,26 @@ def test_overlap_law():
     assert direct == pytest.approx(closed, abs=1e-10)
 
 
-def _mirrored_block(sp, spec, scheme, max_level):
-    """Columns block_indices(sp, max_level) of the mirrored family's frame,
-    (1/2pi) integral |-z><-z| dx dy, assembled from its own radial stack
-    D(-sqrt(t_r)), whose phases (-1)^(m-n) come from the closed form."""
+def _level_block(sp, max_level):
+    """Row-major indices n*N + l of the |n><l| with n, l <= max_level, for
+    blocks other than the library's fixed N/4 one."""
+    keep = np.arange(max_level + 1)
+    return (keep[:, None] * sp.dim + keep[None, :]).ravel()
+
+
+def _family_states(sp, spec, scheme, mirrored=False):
+    """The R radial states of the family, D(sqrt(t_r)) Phi_beta, or of the
+    mirrored family from its own radial stack D(-sqrt(t_r)), whose phases
+    (-1)^(m-n) come from the closed form."""
     sqrt_lam = np.sqrt(np.diag(gibbs_density(sp, spec).mat).real)
-    states = displacement_stack(sp, -np.sqrt(scheme.radial_nodes)).real * sqrt_lam
-    return scheme._ring_gram(states, block_indices(sp, max_level))
+    radii = -np.sqrt(scheme.radial_nodes) if mirrored else np.sqrt(scheme.radial_nodes)
+    return displacement_stack(sp, radii).real * sqrt_lam
 
 
 def _mirrored_deviation_norm(sp, spec, scheme, weights):
     """Restricted 2-norm of the mirrored family's deviation from kron(I, diag(weights)) on levels <= N/4."""
-    cols = block_indices(sp, sp.dim // 4)
-    deviation = _mirrored_block(sp, spec, scheme, sp.dim // 4)
+    cols = block_indices(sp)
+    deviation = scheme._ring_gram(_family_states(sp, spec, scheme, mirrored=True), cols)
     deviation[cols, np.arange(cols.size)] -= weights[cols % sp.dim]
     return _column_block_norm(deviation)
 
@@ -138,18 +150,23 @@ def test_identity_residual_equals_gibbs_weight_gap():
     assert got == pytest.approx(predicted, abs=1e-5)
 
 
+def _element(sp, block, bra, ket):
+    """<bra| G |ket> for basis elements |n><l| of the block, given as (n, l),
+    read from the block columns G[:, block_indices(sp)]."""
+    column = list(block_indices(sp)).index(ket[0] * sp.dim + ket[1])
+    return block[bra[0] * sp.dim + bra[1], column]
+
+
 def test_resolution_matrix_elements():
     sp = FockSpace(20)
     spec = ThermalSpec(1.0, 1.0)
     scheme = QuadratureScheme.default(20)
     lam = np.diag(gibbs_density(sp, spec).mat).real
-    dense = resolution_operator(sp, spec, scheme)
-    v11 = basis_element(sp, 1, 1).mat.ravel()
-    diag11 = complex(v11.conj() @ dense @ v11)
-    assert diag11 == pytest.approx(lam[1], abs=1e-10)
+    block = resolution_operator(sp, spec, scheme)
+    assert block.shape == (20 * 20, (20 // 4 + 1) ** 2)
+    assert _element(sp, block, (1, 1), (1, 1)) == pytest.approx(lam[1], abs=1e-10)
     # mismatched angular phases integrate to zero
-    v01, v10 = basis_element(sp, 0, 1).mat.ravel(), basis_element(sp, 1, 0).mat.ravel()
-    assert abs(complex(v10.conj() @ dense @ v01)) <= 1e-10
+    assert abs(_element(sp, block, (1, 0), (0, 1))) <= 1e-10
 
 
 def test_ground_limit_restricted_identity():
@@ -158,11 +175,9 @@ def test_ground_limit_restricted_identity():
     sp = FockSpace(20)
     spec = ThermalSpec(1.0, 60.0)
     scheme = QuadratureScheme.default(20)
-    dense = resolution_operator(sp, spec, scheme)
-    v00 = basis_element(sp, 0, 0).mat.ravel()
-    assert complex(v00.conj() @ dense @ v00) == pytest.approx(1.0, abs=1e-8)
-    v30 = basis_element(sp, 3, 0).mat.ravel()
-    assert complex(v30.conj() @ dense @ v30) == pytest.approx(1.0, abs=1e-8)
+    block = resolution_operator(sp, spec, scheme)
+    assert _element(sp, block, (0, 0), (0, 0)) == pytest.approx(1.0, abs=1e-8)
+    assert _element(sp, block, (3, 0), (3, 0)) == pytest.approx(1.0, abs=1e-8)
 
 
 @pytest.mark.parametrize("z", [0.0, 0.5, 0.45j, -0.3 + 0.2j])
@@ -192,26 +207,30 @@ FRAME_CASES = [(n, *sizes) for n in (4, 6, 8) for sizes in _scheme_sizes(n)]
 @pytest.mark.parametrize("mirrored", [False, True])
 @pytest.mark.parametrize("n, radial, angular", FRAME_CASES)
 def test_block_columns_match_full_operator(n, radial, angular, mirrored):
-    # an entry is one R-term dot product with positive ring weights, so
-    # two summation orders differ by at most R eps sqrt(G_ii G_jj)
-    # (Cauchy-Schwarz), within R eps max diag(G).  Not bitwise: numpy
-    # sends the one-column product (max_level = 0) to GEMV, which sums in
-    # another order than the full GEMM.  The mirrored family's columns,
-    # from its own stack, are those of S G S with S the charge sign.
+    # the full N^2 x N^2 assembly is the oracle here, the library builds
+    # only block columns.  An entry is one R-term dot product with positive
+    # ring weights, so two summation orders differ by at most
+    # R eps sqrt(G_ii G_jj) (Cauchy-Schwarz), within R eps max diag(G).
+    # Not bitwise: numpy sends the one-column product (max_level = 0) to
+    # GEMV, which sums in another order than the full GEMM.  The mirrored
+    # family's columns, from its own stack, are those of S G S with S the
+    # charge sign.  At the library's block (levels <= N/4) the family's
+    # columns are resolution_operator's, to the bit.
     sp = FockSpace(n)
     spec = ThermalSpec(1.0, 0.7)
     scheme = QuadratureScheme(radial, angular)
-    full = resolution_operator(sp, spec, scheme)
+    full = scheme._ring_gram(_family_states(sp, spec, scheme))
+    states = _family_states(sp, spec, scheme, mirrored)
     sign = (-1.0) ** np.add.outer(np.arange(n), np.arange(n)).ravel() if mirrored else np.ones(n * n)
     bound = radial * np.finfo(float).eps * np.max(np.diag(full))
     for max_level in range(n):
-        cols = block_indices(sp, max_level)
-        if mirrored:
-            block = _mirrored_block(sp, spec, scheme, max_level)
-        else:
-            block = resolution_operator(sp, spec, scheme, max_level)
+        cols = _level_block(sp, max_level)
+        block = scheme._ring_gram(states, cols)
         assert block.shape == (n * n, (max_level + 1) ** 2)
         assert np.max(np.abs(block - sign[:, None] * full[:, cols] * sign[cols])) <= bound
+        if max_level == n // 4 and not mirrored:
+            assert np.array_equal(block_indices(sp), cols)
+            assert np.array_equal(resolution_operator(sp, spec, scheme), block)
 
 
 @pytest.mark.parametrize("n, radial, angular", FRAME_CASES)
@@ -237,33 +256,20 @@ def test_mirrored_residuals_equal_direct(n, radial, angular):
 )
 def test_residual_gram_norm_matches_dense_norm(n, omega, beta, angular, data):
     # sqrt of the top eigenvalue of D^T D against the SVD norm of D itself,
-    # on a drawn block of resolution_operator and on the N/4 block, where
-    # the public residuals must give the same value
+    # on a drawn block of the family's frame and on the library's N/4
+    # block, where the public residuals must give the same value
     max_level = data.draw(st.integers(0, n - 1), label="max_level")
     sp = FockSpace(n)
     spec = ThermalSpec(omega, beta)
     scheme = QuadratureScheme.default(n) if angular is None else QuadratureScheme(2 * n, angular)
     lam = np.diag(gibbs_density(sp, spec).mat).real
+    states = _family_states(sp, spec, scheme)
     for weights, residual in ((np.ones(n), resolution_residual), (lam, frame_operator_residual)):
-        for level in (max_level, n // 4):
-            cols = block_indices(sp, level)
-            deviation = resolution_operator(sp, spec, scheme, level)
+        for cols, deviation in (
+            (_level_block(sp, max_level), scheme._ring_gram(states, _level_block(sp, max_level))),
+            (block_indices(sp), resolution_operator(sp, spec, scheme)),
+        ):
             deviation[cols, np.arange(cols.size)] -= weights[cols % n]
             norm = _column_block_norm(deviation)
             assert norm == pytest.approx(np.linalg.norm(deviation, 2), rel=1e-13, abs=0.0)
         assert residual(sp, spec, scheme) == norm
-
-
-@pytest.mark.parametrize("n", [5, 9])
-def test_max_level_is_checked(n):
-    # a negative max_level is an empty block, never a vacuous 0.0; from
-    # N on, every level is kept
-    sp = FockSpace(n)
-    spec = ThermalSpec(1.0, 1.0)
-    scheme = QuadratureScheme.default(n)
-    for bad in (-1, -2, -n):
-        with pytest.raises(ValueError, match="max_level"):
-            resolution_operator(sp, spec, scheme, bad)
-    top = resolution_operator(sp, spec, scheme, n - 1)
-    for level in (n, 50):
-        assert np.array_equal(resolution_operator(sp, spec, scheme, level), top)

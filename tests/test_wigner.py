@@ -17,7 +17,7 @@ from hsqm.fock import (
 )
 from hsqm.hs_space import basis_element, hs_inner, hs_norm, vee
 from hsqm.quadrature import QuadratureScheme
-from hsqm.thermal import thermal_vector
+from hsqm.thermal import thermal_cs
 from hsqm.wigner import _z_of_xy, unitarity_residual, wigner_function, wigner_inverse
 
 
@@ -181,7 +181,7 @@ def test_lifted_expansion_coefficients():
     # transform values of the basis elements
     sp = FockSpace(20)
     spec = ThermalSpec(1.0, 1.0)
-    phi = thermal_vector(sp, spec)
+    phi = thermal_cs(sp, spec, 0.0)  # Phi_beta
     lam = np.diag(gibbs_density(sp, spec).mat).real
     x, y = 0.6, 0.3
     moved = displacement(sp, _z_of_xy(x, y)) @ phi
