@@ -8,6 +8,8 @@ columns, ``{column: list}``, and its contracts as ``(name, value,
 threshold, ok)`` tuples; a ``None`` cell is absent (empty in CSV, no key
 in JSON).  Output is deterministic byte-for-byte for a fixed
 configuration: fixed seeds, fixed summation orders, no timestamps.
+A subcommand accepts --N, --format, --out and the flags of its ``_COMMANDS``
+entry only, so the JSON ``config`` echoes the settings of that run.
 """
 
 from __future__ import annotations
@@ -45,11 +47,12 @@ def _scheme(args, n_levels: int) -> QuadratureScheme:
     radial, angular = QuadratureScheme._default_sizes(n_levels)
     scheme = QuadratureScheme(
         radial if args.radial_nodes is None else args.radial_nodes,
-        angular if args.angular_nodes is None else args.angular_nodes,
+        # husimi takes no --angular-nodes: its trace residual reads the rings only
+        angular if getattr(args, "angular_nodes", None) is None else args.angular_nodes,
     )
     if not (args.allow_small or scheme.adequate_for(n_levels)):
         raise ValueError(
-            f"quadrature sizes below defaults for N={n_levels}; pass --allow-small to override"
+            f"N={n_levels} needs at least {2 * n_levels} radial and {2 * n_levels + 1} angular nodes (or --allow-small)"
         )
     return scheme
 
@@ -274,16 +277,30 @@ def _cmd_uncertainty(args):
     return [{"name": names, "value": values, "expected": [expected.get(k) for k in names]}], contracts
 
 
+_FLAGS = {
+    "--omega": dict(type=float, default=1.0),
+    "--beta": dict(type=float, default=1.0),
+    "--theta": dict(type=float, default=0.1),
+    "--omega0": dict(type=float, default=1.0),
+    "--omega-c": dict(type=float, default=2.0),
+    "--mass": dict(type=float, default=1.0),
+    "--hbar": dict(type=float, default=1.0),
+    "--radial-nodes": dict(type=int, default=None),
+    "--angular-nodes": dict(type=int, default=None),
+    "--allow-small": dict(action="store_true"),
+}
+_LANDAU = ("--mass", "--omega0", "--omega-c", "--theta", "--hbar")
+_SCHEME = ("--radial-nodes", "--angular-nodes", "--allow-small")
 _COMMANDS = {
-    "spectrum": _cmd_spectrum,
-    "husimi": _cmd_husimi,
-    "resolution": _cmd_resolution,
-    "kms": _cmd_kms,
-    "modular": _cmd_modular,
-    "commutant": _cmd_commutant,
-    "wigner": _cmd_wigner,
-    "kernel": _cmd_kernel,
-    "uncertainty": _cmd_uncertainty,
+    "spectrum": (_cmd_spectrum, _LANDAU),
+    "husimi": (_cmd_husimi, ("--beta", *_LANDAU, "--radial-nodes", "--allow-small")),
+    "resolution": (_cmd_resolution, ("--omega", "--beta", *_SCHEME)),
+    "kms": (_cmd_kms, ("--omega", "--beta")),
+    "modular": (_cmd_modular, ("--omega", "--beta")),
+    "commutant": (_cmd_commutant, ()),
+    "wigner": (_cmd_wigner, _SCHEME),
+    "kernel": (_cmd_kernel, _SCHEME),
+    "uncertainty": (_cmd_uncertainty, _LANDAU),
 }
 
 
@@ -337,24 +354,16 @@ def _write_json(command, config, blocks, contracts, ok, out):
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The parser, built once per process: parse_args does not change it."""
+    """Each subcommand with its own flags, built once per process: parse_args does not change it."""
     parser = argparse.ArgumentParser(prog="hsqm", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in sorted(_COMMANDS):
+    for name, (_, flags) in sorted(_COMMANDS.items()):
         p = sub.add_parser(name)
         p.add_argument("--N", type=int, default=4 if name == "commutant" else 24)
-        p.add_argument("--omega", type=float, default=1.0)
-        p.add_argument("--beta", type=float, default=1.0)
-        p.add_argument("--theta", type=float, default=0.1)
-        p.add_argument("--omega0", type=float, default=1.0)
-        p.add_argument("--omega-c", dest="omega_c", type=float, default=2.0)
-        p.add_argument("--mass", type=float, default=1.0)
-        p.add_argument("--hbar", type=float, default=1.0)
-        p.add_argument("--radial-nodes", type=int, default=None)
-        p.add_argument("--angular-nodes", type=int, default=None)
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--out", default=None)
-        p.add_argument("--allow-small", action="store_true")
     return parser
 
 
@@ -365,7 +374,7 @@ def main(argv=None) -> int:
     try:
         if args.N < 4:
             raise ValueError("truncation N must be at least 4")
-        blocks, contracts = _COMMANDS[args.command](args)
+        blocks, contracts = _COMMANDS[args.command][0](args)
         out = open(args.out, "w") if args.out else sys.stdout
     except (ValueError, OSError) as exc:
         sys.stderr.write(json.dumps({"error": str(exc), "command": args.command}) + "\n")

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -319,3 +320,60 @@ def test_json_writer_omits_absent_cells():
         {"kind": "row", "name": "var", "value": 0.25, "expected": 0.25},
     ]
     assert doc["contracts"] == [{"kind": "contract", "name": "var", "value": 0.0, "threshold": 1e-12, "ok": True}]
+
+
+def _accepted_flags(command):
+    """Every flag the subcommand's parser accepts, --help aside."""
+    (sub,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return [a.option_strings[0] for a in sub.choices[command]._actions if a.option_strings and a.dest != "help"]
+
+
+#: a second valid value of each valued flag
+_CHANGED = {
+    "--format": "json", "--omega": "1.25", "--beta": "1.25", "--theta": "0.125", "--omega0": "1.25",
+    "--omega-c": "2.5", "--mass": "1.25", "--hbar": "1.25", "--radial-nodes": "17", "--angular-nodes": "31",
+}
+#: accepted but unread: the benchmark passes these flags to these subcommands,
+#: so they stay until benchmarks/workloads.py stops passing them
+_PINNED = {
+    ("spectrum", "--N"),  # benchmarks/workloads.py cli_task passes --N; the energy grid is a fixed 8 x 8
+    ("uncertainty", "--N"),  # benchmarks/workloads.py cli_task passes --N; the vacuum table does not depend on N
+    ("uncertainty", "--mass"),  # benchmarks/workloads.py _landau_params; LandauParams validates it, nothing reads it
+    ("uncertainty", "--omega0"),  # benchmarks/workloads.py _landau_params; validated only
+    ("uncertainty", "--omega-c"),  # benchmarks/workloads.py _landau_params; validated only
+}
+
+
+def _flag_change(command, flag, n, out):
+    """The extra argv of a base run and of the run with ``flag`` changed."""
+    if flag == "--N":
+        return [], ["--N", str(n + 1)]
+    if flag == "--out":  # the table leaves stdout
+        return [], ["--out", str(out)]
+    if flag == "--allow-small":  # 2N - 1 rings are rejected without it
+        small = ["--radial-nodes", str(2 * n - 1)]
+        return small, small + ["--allow-small"]
+    if (command, flag) == ("resolution", "--angular-nodes"):
+        # its residuals read the charges mod A, and A >= 2N - 1 aliases none
+        return ["--allow-small"], ["--allow-small", "--angular-nodes", "5"]
+    return [], [flag, _CHANGED[flag]]
+
+
+@pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+def test_every_accepted_flag_changes_the_run(command, tmp_path, capsys):
+    # a flag that moves neither stdout nor the exit code is a setting the
+    # subcommand does not read, and the JSON config would echo it
+    n = 4 if command == "commutant" else 8
+    runs = {}
+
+    def run(extra):
+        if tuple(extra) not in runs:
+            runs[tuple(extra)] = cli.main([command, "--N", str(n), *extra]), capsys.readouterr().out
+        return runs[tuple(extra)]
+
+    dead = set()
+    for flag in _accepted_flags(command):
+        base, changed = _flag_change(command, flag, n, tmp_path / "out.csv")
+        if run(base) == run(changed):
+            dead.add((command, flag))
+    assert dead == {pair for pair in _PINNED if pair[0] == command}

@@ -88,7 +88,9 @@ _log_uniform = st.floats(-3.0, 3.0).map(lambda e: 10.0**e)
 
 
 def _with_flags(argv, values):
-    return argv + [arg for flag, value in zip(PHYSICAL_FLAGS, values) for arg in (flag, repr(value))]
+    # each subcommand takes only the physical flags it reads
+    own = cli._COMMANDS[argv[0]][1]
+    return argv + [arg for flag, value in zip(PHYSICAL_FLAGS, values) if flag in own for arg in (flag, repr(value))]
 
 
 @settings(max_examples=60, deadline=None)
@@ -102,6 +104,8 @@ def test_generated_configuration_reports_or_rejects(command, n, values):
 
 
 SCHEME_COMMANDS = ("husimi", "resolution", "wigner", "kernel")
+#: husimi takes no --angular-nodes: it keeps the default 4N + 1
+ANGULAR_COMMANDS = ("resolution", "wigner", "kernel")
 
 
 @settings(max_examples=120, deadline=None)
@@ -110,18 +114,21 @@ def test_generated_scheme_reports_or_rejects(command, n, data, allow_small):
     # --allow-small admits aliased schemes (A < 2N - 1), where charges that
     # differ by A share a ring sum
     radial = data.draw(st.integers(1, 3 * n), label="radial")
-    angular = data.draw(st.integers(1, 5 * n), label="angular")
-    argv = [command, "--N", str(n), "--radial-nodes", str(radial), "--angular-nodes", str(angular)]
+    argv = [command, "--N", str(n), "--radial-nodes", str(radial)]
+    angular = 4 * n + 1
+    if command in ANGULAR_COMMANDS:
+        angular = data.draw(st.integers(1, 5 * n), label="angular")
+        argv += ["--angular-nodes", str(angular)]
     code, result = _check_run(argv + ["--allow-small"] * allow_small)
     if angular < 3:
         assert code == 2 and "need at least three angular nodes" in result["error"]
     elif not allow_small and (radial < 2 * n or angular < 2 * n + 1):
-        assert code == 2 and "quadrature sizes below defaults" in result["error"]
+        assert code == 2 and f"needs at least {2 * n} radial and {2 * n + 1} angular nodes" in result["error"]
     else:
         assert code in (0, 1)
 
 
-@pytest.mark.parametrize("command", SCHEME_COMMANDS)
+@pytest.mark.parametrize("command", ANGULAR_COMMANDS)
 def test_aliased_schemes_report(command):
     for angular in (3, 4, 5, 8):  # A < 2N - 1 at N = 8, odd and even
         code, _ = _check_run([command, "--N", "8", "--angular-nodes", str(angular), "--allow-small"])
@@ -134,12 +141,28 @@ def test_commutant_default_reports_contracts():
 
 
 @pytest.mark.parametrize("n", [4, 5])
-@settings(max_examples=2, deadline=None)
-@given(st.tuples(*[_log_uniform] * len(PHYSICAL_FLAGS)))
-def test_generated_commutant_configuration_reports(n, values):
-    # the commutant reads no physical flag; every N it accepts must pass
-    code, _ = _check_run(_with_flags(["commutant", "--N", str(n)], values))
+def test_generated_commutant_configuration_reports(n):
+    # the commutant takes no physical flag; every N it accepts must pass
+    code, _ = _check_run(["commutant", "--N", str(n)])
     assert code == 0
+
+
+NOT_TAKEN = [
+    (command, flag)
+    for command, (_, own) in sorted(cli._COMMANDS.items())
+    for flag in cli._FLAGS
+    if flag not in own
+]
+
+
+@pytest.mark.parametrize("command, flag", NOT_TAKEN)
+def test_unread_flag_is_rejected(command, flag, capsys):
+    # a flag the subcommand does not read is a usage error, like --N x
+    with pytest.raises(SystemExit) as exit_:
+        cli.main([command, flag, "1"])
+    assert exit_.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and flag in captured.err
 
 
 @pytest.mark.parametrize("n", [-1, 0, 3])

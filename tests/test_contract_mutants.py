@@ -3,7 +3,9 @@
 A row is (name, target, attribute, replacement, argv, the contracts that
 must read ``ok = false``).  The mutant is the monkeypatch of that
 attribute for one in-process ``cli.main`` call; the run must exit 1 with
-every named contract red, where the unpatched run holds them.
+every named contract red, where the unpatched run holds them.  The rows
+of ``FLOW_MUTANTS`` patch ``ModularData.rho_power`` instead and require
+the library-level flow-direction check (``flow_rotation``) to fail.
 """
 
 import csv
@@ -12,10 +14,12 @@ import numpy as np
 import pytest
 
 from hsqm import cli, hs_space, modular, quadrature
+from flow_rotation import SPECS, TOL, flow_rotation_deviation
 from known_red import known_red_excess
 
 _FROM_THERMAL = modular.ModularData.from_thermal
 _LAGUERRE_RULE = quadrature._laguerre_rule
+_RHO_POWER = modular.ModularData.rho_power
 
 
 def _energies_scaled(space, spec):
@@ -74,6 +78,21 @@ def test_contract_turns_red_under_mutant(name, target, attr, replacement, argv, 
     monkeypatch.setattr(target, attr, replacement)
     assert cli.main(argv + ["--out", str(out)]) == 1
     assert all(_contracts(out)[c] == "false" for c in red)
+
+
+FLOW_MUTANTS = [
+    # the flow run backwards: rho^(conj z) turns rho^(it) into rho^(-it)
+    ("flow-rho-power-conjugated", lambda md, z: _RHO_POWER(md, np.conj(z))),
+    # the flow at a rate 1 % off
+    ("flow-rho-power-x1.01", lambda md, z: _RHO_POWER(md, 1.01 * z)),
+]
+
+
+@pytest.mark.parametrize("name, rho_power", FLOW_MUTANTS, ids=[m[0] for m in FLOW_MUTANTS])
+def test_flow_direction_fails_under_mutant(name, rho_power, monkeypatch):
+    assert all(flow_rotation_deviation(*spec) <= TOL for spec in SPECS)
+    monkeypatch.setattr(modular.ModularData, "rho_power", rho_power)
+    assert max(flow_rotation_deviation(*spec) for spec in SPECS) > TOL
 
 
 def _block_one_level_up(space):

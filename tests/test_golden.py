@@ -13,6 +13,9 @@ The JSON files are taken from stdout, not ``--out``: the JSON ``config``
 records ``out``.
 """
 
+import csv
+import json
+import math
 from pathlib import Path
 
 import pytest
@@ -34,3 +37,20 @@ def test_default_output_matches_golden(command, tmp_path):
 def test_default_json_matches_golden(command, capsys):
     cli.main([command, "--format", "json"])
     assert capsys.readouterr().out.encode() == (GOLDEN / "json" / f"{command}.json").read_bytes()
+
+
+def _wigner_grid_cells():
+    """(x, y, re_f, im_f) of every grid row of the CSV and JSON wigner goldens."""
+    rows = list(csv.DictReader((GOLDEN / "wigner.csv").read_text().splitlines()))
+    rows += json.loads((GOLDEN / "json" / "wigner.json").read_text())["rows"]
+    return [tuple(float(r[k]) for k in ("x", "y", "re_f", "im_f")) for r in rows if r.get("re_f") not in (None, "")]
+
+
+def test_wigner_golden_is_the_vacuum_gaussian():
+    # W|0><0|(x, y) = exp(-(x^2 + y^2) / 4) / sqrt(2 pi), in ulp of the libm value
+    cells = _wigner_grid_cells()
+    assert len(cells) == 2 * 21 * 21
+    for x, y, re_f, im_f in cells:
+        exact = math.exp(-(x * x + y * y) / 4.0) / math.sqrt(2.0 * math.pi)
+        assert abs(re_f - exact) <= 16 * math.ulp(exact)
+        assert im_f == 0.0

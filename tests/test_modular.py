@@ -21,6 +21,7 @@ from hsqm.modular import (
     state_eval,
     tomita_s,
 )
+from flow_rotation import SPECS, TOL, flow_rotation_deviation
 
 
 def _random_faithful(n, seed):
@@ -190,6 +191,12 @@ def test_flow_group_and_invariance():
     rhs = modular_flow(md, 0.7)(x)
     assert hs_norm(lhs - rhs) <= 1e-12
     assert abs(state_eval(md, modular_flow(md, 1.1)(x)) - state_eval(md, x)) <= 1e-12
+
+
+@pytest.mark.parametrize("omega, beta", SPECS)
+def test_flow_rotates_displacements(omega, beta):
+    # sigma_t(D(z)) = D(e^(-i omega beta t) z), entrywise under truncation
+    assert flow_rotation_deviation(omega, beta) <= TOL
 
 
 def test_kms_trivial_and_diagonal():
