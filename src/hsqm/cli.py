@@ -317,10 +317,24 @@ def _format_cell(value) -> str:
     return str(value)
 
 
+def _spell_floats(values) -> list[str]:
+    """``format(v, ".17g")`` of each float, in one %-format call."""
+    return ("%.17g," * len(values) % tuple(values)).split(",")[:-1]
+
+
 def _format_column(values) -> list[str]:
-    if all(type(v) is float for v in values):
-        return [format(v, ".17g") for v in values]
-    return [_format_cell(v) for v in values]
+    """The CSV cells of one column.  A float column spells each distinct
+    value once: the column itself when no value repeats (a set counts 0.0
+    and -0.0 as one, so a column holding both repeats), else its distinct
+    bit patterns, which keep 0.0 and -0.0 apart."""
+    if set(map(type, values)) != {float}:
+        return [_format_cell(v) for v in values]
+    if len(set(values)) == len(values):
+        return _spell_floats(values)
+    bits = np.array(values).view(np.int64).tolist()
+    first = dict(zip(bits, values))
+    spelled = dict(zip(first, _spell_floats(first.values())))
+    return list(map(spelled.__getitem__, bits))
 
 
 def _tagged_blocks(blocks, contracts):

@@ -17,6 +17,8 @@ branch ambiguity.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .fock import FockSpace, Operator, ThermalSpec, gibbs_density, osc_hamiltonian
@@ -170,28 +172,39 @@ def tomita_s(md: ModularData) -> AntilinearMap:
     return AntilinearMap(md.space, md.rho_power(-0.5), md.rho_power(0.5))
 
 
-def _rank_one_images(m: AntilinearMap, a: int) -> np.ndarray:
-    """m(|a><b|) for every b, stacked as [b, i, j] = L[i, b] R[a, j]."""
-    return m.left.T[:, :, None] * m.right[a][None, None, :]
-
-
 def polar_check(md: ModularData) -> float:
     """Max basis-wise HS distance between S and J Delta^(1/2).
 
     Both sides are antilinear sandwiches X -> L X† R (J Delta^(1/2) by the
-    composition rule), evaluated on every |a><b|, one row a of N^3
-    entries at a time.  They take their factors from ``rho_power``
-    (rho^(-1/2) and rho^(1/2)), so the result measures only the
-    Hermiticity rounding of rho^(1/2), not the polar decomposition, until
-    J and Delta get a construction independent of S.
+    composition rule), so the image of |a><b| is the rank-one
+    |L[:, b]><conj(R[a, :])|.  With dL = L1 - L2 and dR = R1 - R2 the
+    difference of the two images is |dL_b><R1_a| + |L2_b><dR_a| (columns
+    of L, rows of R), whose squared HS norm is
+    |dL_b|^2 |R1_a|^2 + |L2_b|^2 |dR_a|^2 + 2 Re(<dL_b, L2_b> <R1_a, dR_a>):
+    O(N^2) from norms of the factors, with no large terms cancelling.
+    Both sides take their factors from ``rho_power`` (rho^(-1/2) and
+    rho^(1/2)), so the result measures only the Hermiticity rounding of
+    rho^(1/2), not the polar decomposition, until J and Delta get a
+    construction independent of S; for a diagonal rho, dL = dR = 0 and
+    the result is 0 by construction.
     """
     s_map = tomita_s(md)
     j_half = modular_conjugation(md.space).after_linear(delta_power(md, 0.5))
-    worst = 0.0
-    for a in range(md.space.dim):
-        diff = _rank_one_images(s_map, a) - _rank_one_images(j_half, a)
-        worst = max(worst, float(np.max(np.linalg.norm(diff, axis=(1, 2)))))
-    return worst
+    d_left, d_right = s_map.left - j_half.left, s_map.right - j_half.right
+
+    def cols(x, y):  # <x[:, b], y[:, b]> for every b
+        return np.sum(x.conj() * y, axis=0)
+
+    def rows(x, y):  # <x[a, :], y[a, :]> for every a
+        return np.sum(x.conj() * y, axis=1)
+
+    # [a, b] entries
+    squared = (
+        np.outer(rows(s_map.right, s_map.right).real, cols(d_left, d_left).real)
+        + np.outer(rows(d_right, d_right).real, cols(j_half.left, j_half.left).real)
+        + 2.0 * np.outer(rows(s_map.right, d_right), cols(d_left, j_half.left)).real
+    )
+    return math.sqrt(max(0.0, float(np.max(squared))))
 
 
 def modular_flow(md: ModularData, t: float) -> SuperOp:

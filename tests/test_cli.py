@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hsqm import cli
 from hsqm.fock import FockSpace
@@ -308,6 +310,26 @@ def test_csv_writer_cells():
         "contract,,,,bool,true,true,true\n"
         "contract,,,,float,2.5,9.9999999999999998e-13,false\n"
     )
+
+
+_SPECIAL_FLOATS = [0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan, 5e-324, -2.225073858507201e-308]
+
+
+@st.composite
+def _float_columns(draw):
+    # picks from a small pool, so values repeat; a pick copied by * 1.0 is
+    # an equal value in a distinct object
+    pool = draw(st.lists(st.one_of(st.floats(), st.sampled_from(_SPECIAL_FLOATS)), min_size=1, max_size=8))
+    picks = draw(st.lists(st.tuples(st.sampled_from(pool), st.booleans()), max_size=64))
+    return [v * 1.0 if copy else v for v, copy in picks]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_float_columns())
+@example([0.0] * 441)  # the im_f column of wigner
+@example([0.0, -0.0, -0.0, 0.0])
+def test_format_column_spells_floats_as_format(values):
+    assert cli._format_column(values) == [format(v, ".17g") for v in values]
 
 
 def test_json_writer_omits_absent_cells():

@@ -20,6 +20,7 @@ from known_red import known_red_excess
 _FROM_THERMAL = modular.ModularData.from_thermal
 _LAGUERRE_RULE = quadrature._laguerre_rule
 _RHO_POWER = modular.ModularData.rho_power
+_DELTA_POWER = modular.delta_power
 
 
 def _energies_scaled(space, spec):
@@ -45,6 +46,12 @@ def _ring0_weight_scaled(radial_count):
     return t, ring
 
 
+def _delta_exponent_scaled(md, s):
+    # J Delta^(1.01/2) in place of J Delta^(1/2); the flow contracts call
+    # delta_power too, but a group at a 1 % faster rate still holds them
+    return _DELTA_POWER(md, 1.01 * s)
+
+
 MUTANTS = [
     ("kms-energies-x1.01", modular.ModularData, "from_thermal", staticmethod(_energies_scaled),
      ["kms", "--N", "16"], ["kms_max_residual"]),
@@ -58,6 +65,8 @@ MUTANTS = [
      ["husimi", "--N", "16"], ["husimi_trace_residual"]),
     ("resolution-ring0-weight-x1.01", quadrature, "_laguerre_rule", _ring0_weight_scaled,
      ["resolution", "--N", "16"], ["hiho_frame_residual", "xaxa_frame_residual", "resolv_residual"]),
+    ("polar-delta-exponent-x1.01", modular, "delta_power", _delta_exponent_scaled,
+     ["modular", "--N", "16"], ["polar_residual"]),
 ]
 #: exit codes of the unpatched runs that are not 0: ``resolution`` reports
 #: the unweighted identity diagnostic, red by design, so it exits 1 both

@@ -54,3 +54,46 @@ def test_wigner_golden_is_the_vacuum_gaussian():
         exact = math.exp(-(x * x + y * y) / 4.0) / math.sqrt(2.0 * math.pi)
         assert abs(re_f - exact) <= 16 * math.ulp(exact)
         assert im_f == 0.0
+
+
+_COMMUTANT_COLUMNS = ("span_dim", "commutant_dim", "double_commutant_dim", "factor")
+
+
+def _wedderburn_counts(blocks):
+    """The four commutant columns of the algebra ⊕_i M_{n_i} ⊗ I_{m_i}, from
+    its blocks (n_i, m_i): the algebra spans sum n_i^2, its commutant
+    ⊕_i I_{n_i} ⊗ M_{m_i} spans sum m_i^2, the double commutant is the
+    algebra again, and the center has one dimension per block."""
+    span = sum(n * n for n, _ in blocks)
+    return span, sum(m * m for _, m in blocks), span, len(blocks) == 1
+
+
+def _commutant_golden_cells():
+    """((algebra, column), cell) of every row and contract cell of the CSV
+    and JSON commutant goldens that reports one of the four columns; CSV
+    cells parsed to bool or int."""
+    names = {f"{alg}_{column}": (alg, column) for alg in ("left", "right") for column in _COMMUTANT_COLUMNS}
+    doc = json.loads((GOLDEN / "json" / "commutant.json").read_text())
+    text = csv.DictReader((GOLDEN / "commutant.csv").read_text().splitlines())
+    cells = []
+    for records, parse in ((doc["rows"] + doc["contracts"], lambda c: c), (text, _csv_int_or_bool)):
+        for r in records:
+            if r["kind"] == "row":
+                cells += [((r["algebra"], column), parse(r[column])) for column in _COMMUTANT_COLUMNS]
+            elif r["name"] in names:
+                cells.append((names[r["name"]], parse(r["value"])))
+    return cells
+
+
+def _csv_int_or_bool(text):
+    return text == "true" if text in ("true", "false") else int(text)
+
+
+def test_commutant_golden_is_the_wedderburn_count():
+    # at N = 4, X -> A X on B2(H_4) = C^4 ⊗ C^4 is M_4 ⊗ I_4, and X -> X B†
+    # is I_4 ⊗ M_4: one block with (n, m) = (4, 4) each
+    expect = {alg: dict(zip(_COMMUTANT_COLUMNS, _wedderburn_counts([(4, 4)]))) for alg in ("left", "right")}
+    cells = _commutant_golden_cells()
+    assert len(cells) == 2 * 2 * 2 * 4  # CSV and JSON, rows and contracts, two algebras, four columns
+    for (alg, column), cell in cells:
+        assert type(cell) is type(expect[alg][column]) and cell == expect[alg][column]

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -145,6 +146,20 @@ def test_polar_check_sees_a_perturbed_side(monkeypatch, name, scaled, make_md):
 )
 def test_polar_decomposition(make_md):
     assert polar_check(make_md()) <= 1e-12
+
+
+def test_polar_check_memory_is_quadratic():
+    # the closed form holds N x N arrays only (2.4 MB peak measured); one
+    # image row of the plain loop would be 16 N^3 bytes, 33.5 MB at N = 128
+    n = 128
+    md = ModularData.from_thermal(FockSpace(n), ThermalSpec(1.0, 20.0 / (n - 1)))
+    tracemalloc.start()
+    try:
+        assert polar_check(md) == 0.0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
 
 
 @settings(max_examples=25, deadline=None)
