@@ -19,6 +19,7 @@ import functools
 import json
 import math
 import sys
+from array import array
 
 import numpy as np
 
@@ -323,15 +324,15 @@ def _spell_floats(values) -> list[str]:
 
 
 def _format_column(values) -> list[str]:
-    """The CSV cells of one column.  A float column spells each distinct
-    value once: the column itself when no value repeats (a set counts 0.0
-    and -0.0 as one, so a column holding both repeats), else its distinct
-    bit patterns, which keep 0.0 and -0.0 apart."""
-    if set(map(type, values)) != {float}:
+    """The CSV cells of one column.  A float column in which most values
+    repeat spells each distinct bit pattern once (so 0.0 and -0.0 stay
+    apart); in any other the hashing would cost more than the repeats
+    save, and each cell is spelled in turn."""
+    if not all(type(v) is float for v in values):
         return [_format_cell(v) for v in values]
-    if len(set(values)) == len(values):
+    if 2 * len(set(values)) > len(values):
         return _spell_floats(values)
-    bits = np.array(values).view(np.int64).tolist()
+    bits = array("q", array("d", values).tobytes())
     first = dict(zip(bits, values))
     spelled = dict(zip(first, _spell_floats(first.values())))
     return list(map(spelled.__getitem__, bits))
