@@ -176,13 +176,13 @@ def polar_check(md: ModularData) -> float:
     """Max basis-wise HS distance between S and J Delta^(1/2).
 
     Both sides are antilinear sandwiches X -> L X† R (J Delta^(1/2) by the
-    composition rule), so the image of |a><b| is the rank-one
-    |L[:, b]><conj(R[a, :])|.  With dL = L1 - L2 and dR = R1 - R2 the
-    difference of the two images is |dL_b><R1_a| + |L2_b><dR_a| (columns
-    of L, rows of R), whose squared HS norm is
+    composition rule), so the image of |a><b| is the outer product
+    L[:, b] R[a, :] of a column of L and a row of R.  With dL = L1 - L2
+    and dR = R1 - R2 the two images differ by dL_b R1_a + L2_b dR_a, whose
+    squared HS norm is
     |dL_b|^2 |R1_a|^2 + |L2_b|^2 |dR_a|^2 + 2 Re(<dL_b, L2_b> <R1_a, dR_a>):
-    O(N^2) from norms of the factors, with no large terms cancelling.
-    Both sides take their factors from ``rho_power`` (rho^(-1/2) and
+    O(N^2) from the factors, and every term is small when the sides agree,
+    so nothing large cancels.  Both sides take their factors from ``rho_power`` (rho^(-1/2) and
     rho^(1/2)), so the result measures only the Hermiticity rounding of
     rho^(1/2), not the polar decomposition, until J and Delta get a
     construction independent of S; for a diagonal rho, dL = dR = 0 and
@@ -198,7 +198,7 @@ def polar_check(md: ModularData) -> float:
     def rows(x, y):  # <x[a, :], y[a, :]> for every a
         return np.sum(x.conj() * y, axis=1)
 
-    # [a, b] entries
+    # squared distances, [a, b]
     squared = (
         np.outer(rows(s_map.right, s_map.right).real, cols(d_left, d_left).real)
         + np.outer(rows(d_right, d_right).real, cols(j_half.left, j_half.left).real)
