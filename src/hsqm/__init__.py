@@ -2,8 +2,8 @@
 
 Subpackages by theme:
 
-* :mod:`hsqm.fock` -- ladder operators, quadratures, displacement, Gibbs states;
-* :mod:`hsqm.hs_space` -- the B2(H) inner product and the A ∨ B superoperator calculus;
+* :mod:`hsqm.fock` -- ladder operators, displacement stacks, Gibbs states;
+* :mod:`hsqm.hs_space` -- the B2(H) norm and basis, and the A ∨ B superoperator calculus;
 * :mod:`hsqm.commutant` -- finite-dimensional von Neumann algebra tooling;
 * :mod:`hsqm.modular` -- Tomita-Takesaki objects S, J, Delta, modular flow, KMS checks;
 * :mod:`hsqm.wigner` -- Weyl operators and the Wigner map with its inverse;

@@ -93,7 +93,9 @@ def _cmd_husimi(args):
     scheme = _scheme(args, args.N)
     _check(contracts, "husimi_trace_residual", landau.husimi_trace_residual(params, args.beta, scheme), 1e-10)
     _check(contracts, "husimi_negativity", max(0.0, -min(q)), 0.0)
-    return [{"x": x.ravel().tolist(), "y": y.ravel().tolist(), "q": q}], contracts
+    z_plus, z_minus = landau.partition(params, args.beta)
+    grid_block = {"x": x.ravel().tolist(), "y": y.ravel().tolist(), "q": q}
+    return [grid_block, {"name": ["partition_plus", "partition_minus"], "value": [z_plus, z_minus]}], contracts
 
 
 def _cmd_resolution(args):
@@ -195,6 +197,14 @@ def _cmd_commutant(args):
         all(vn.span_contains(spans["right"], m) for m in vn.commutant_basis(spans["left"]).basis),
         True,
     )
+    # the Gibbs purification Phi = rho^(1/2) at omega beta = 1 is cyclic and
+    # separating for the left algebra; setting its top weight to 0 breaks both
+    gibbs = modular.ModularData.from_thermal(space, ThermalSpec(1.0, 1.0)).sqrt_rho.mat
+    zero_weight = gibbs.copy()
+    zero_weight[-1, -1] = 0.0
+    for tag, phi, expected in (("gibbs", gibbs.ravel(), True), ("zero_weight", zero_weight.ravel(), False)):
+        _check_equal(contracts, f"left_{tag}_cyclic", vn.check_cyclic(spans["left"], phi), expected)
+        _check_equal(contracts, f"left_{tag}_separating", vn.check_separating(spans["left"], phi), expected)
     return [block], contracts
 
 

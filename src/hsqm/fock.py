@@ -3,8 +3,8 @@
 A single bosonic mode is kept on its lowest ``N`` number states
 |0>, ..., |N-1>.  Everything downstream (the Hilbert-Schmidt calculus,
 modular objects, phase-space maps) is built from the dense operators
-returned here: ladder operators, quadratures, the oscillator
-Hamiltonian, Weyl displacement operators, and Gibbs densities.
+returned here: ladder operators, the oscillator Hamiltonian, stacks of
+Weyl displacement operators, and Gibbs densities.
 
 Truncation discipline: a ladder operator of level-raising degree ``k``
 is only trustworthy on the block of levels ``0 .. N-1-k``; identities
@@ -41,11 +41,8 @@ __all__ = [
     "ThermalSpec",
     "annihilation",
     "creation",
-    "position",
-    "momentum",
     "identity",
     "osc_hamiltonian",
-    "displacement",
     "displacement_stack",
     "gibbs_density",
 ]
@@ -65,8 +62,8 @@ class FockSpace:
 class Operator:
     """Dense complex square matrix attached to a :class:`FockSpace`.
 
-    Doubles as an element of the Hilbert-Schmidt space B2(H_N); the
-    inner product lives in :mod:`hsqm.hs_space`.
+    Doubles as an element of the Hilbert-Schmidt space B2(H_N); see
+    :mod:`hsqm.hs_space`.
     """
 
     __slots__ = ("space", "mat")
@@ -144,18 +141,6 @@ def annihilation(space: FockSpace) -> Operator:
 def creation(space: FockSpace) -> Operator:
     """Adjoint of :func:`annihilation`."""
     return annihilation(space).dag()
-
-
-def position(space: FockSpace) -> Operator:
-    """Q = (a + a†)/sqrt(2); Hermitian."""
-    a = annihilation(space).mat
-    return Operator(space, (a + a.conj().T) / math.sqrt(2.0))
-
-
-def momentum(space: FockSpace) -> Operator:
-    """P = (a - a†)/(i sqrt(2)); Hermitian."""
-    a = annihilation(space).mat
-    return Operator(space, -1j * (a - a.conj().T) / math.sqrt(2.0))
 
 
 def osc_hamiltonian(space: FockSpace, omega: float) -> Operator:
@@ -322,7 +307,9 @@ def _coherent_columns(n_levels: int, alphas: np.ndarray) -> np.ndarray:
 
 
 def displacement_stack(space: FockSpace, alphas: np.ndarray) -> np.ndarray:
-    """Matrices of D(alpha) for a whole array of labels, shape (K, N, N).
+    """Matrices of the Weyl displacement operator
+    D(alpha) = exp(alpha a† - conj(alpha) a) for a whole array of labels,
+    shape (K, N, N); unitary up to truncation.
 
     Entries come from the associated-Laguerre closed form
 
@@ -336,15 +323,6 @@ def displacement_stack(space: FockSpace, alphas: np.ndarray) -> np.ndarray:
     alphas = np.atleast_1d(np.asarray(alphas, dtype=complex))
     n_levels = space.dim
     return _closed_form_entries(alphas, _full_support(n_levels)).reshape(-1, n_levels, n_levels)
-
-
-def displacement(space: FockSpace, alpha: complex) -> Operator:
-    """Weyl displacement operator D(alpha) = exp(alpha a† - conj(alpha) a).
-
-    Unitary up to truncation; see :func:`displacement_stack` for the
-    entrywise closed form used.
-    """
-    return Operator(space, displacement_stack(space, np.array([alpha]))[0])
 
 
 def _gibbs_weights(space: FockSpace, spec: ThermalSpec) -> np.ndarray:

@@ -1,8 +1,9 @@
 """The Hilbert space B2(H_N) of Hilbert-Schmidt operators.
 
 An N x N operator X doubles as a vector of B2(H_N) with inner product
-<X|Y> = Tr[X† Y]; in finite dimension every operator is Hilbert-Schmidt,
-so :class:`~hsqm.fock.Operator` plays both roles.
+<X|Y> = Tr[X† Y], the ``np.vdot`` of the two matrices; in finite
+dimension every operator is Hilbert-Schmidt, so
+:class:`~hsqm.fock.Operator` plays both roles.
 
 Vectorization is row-major throughout the package: the rank-one basis
 element |n><l| maps to the unit coordinate at index n*N + l.
@@ -21,19 +22,11 @@ from .fock import FockSpace, Operator
 
 __all__ = [
     "SuperOp",
-    "hs_inner",
     "hs_norm",
     "basis_element",
     "vee",
     "block_indices",
 ]
-
-
-def hs_inner(x: Operator, y: Operator) -> complex:
-    """Hilbert-Schmidt inner product Tr[X† Y]; conjugate linear in X."""
-    if x.space != y.space:
-        raise ValueError("operators live on different Fock spaces")
-    return complex(np.vdot(x.mat, y.mat))
 
 
 def hs_norm(x: Operator) -> float:

@@ -8,13 +8,12 @@ tensor product of two quantum (Hilbert-Schmidt) spaces with basis
 |n+, n-; m+, m-) = |n+><m+| (x) |n-><m-|.
 
 Provided here: the dressed frequencies and spectrum, the thermal Husimi
-distribution and partition functions, the lowest-level wavefunctions
-with the reproducing kernel e^(z conj(z')), holomorphic projection, the
-position / momentum uncertainty table of the right-action quadratures,
-and the sector resolution X -> P X P of the classical frame P.
+distribution and partition functions, the lowest-level reproducing
+kernel e^(z conj(z')), holomorphic projection, the position / momentum
+uncertainty table of the right-action quadratures, and the sector
+resolution X -> P X P of the classical frame P.
 
-Conventions: hbar is explicit in the dynamical quantities; the
-lowest-level wavefunctions use the magnetic length l0 = 1.
+Conventions: hbar is explicit in the dynamical quantities.
 
 Every coherent vector <n|z> = e^(-|z|^2/2) z^n / sqrt(n!) is column 0 of
 the closed-form D(z), computed on that column alone, and every
@@ -30,7 +29,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .fock import FockSpace, Operator, _coherent_columns, annihilation
+from .fock import FockSpace, Operator, annihilation
 from .hs_space import _block_levels
 from .quadrature import QuadratureScheme
 from .thermal import _column_block_norm
@@ -43,7 +42,6 @@ __all__ = [
     "husimi",
     "partition",
     "husimi_trace_residual",
-    "lll_state",
     "reproducing_kernel",
     "project_hol",
     "uncertainty_report",
@@ -180,10 +178,13 @@ def husimi(
 
 
 def partition(p: LandauParams, beta: float) -> tuple[float, float]:
-    """Geometric-series partition functions of the two sectors."""
+    """Geometric-series partition functions of the two sectors; a value
+    that overflows double precision raises ``ValueError``."""
     g_plus, g_minus = _sector_gaps(p, beta)
     z_plus = math.exp(-g_plus / 2.0) / -math.expm1(-g_plus)
     z_minus = math.exp(-g_minus / 2.0) / -math.expm1(-g_minus)
+    if not (math.isfinite(z_plus) and math.isfinite(z_minus)):
+        raise ValueError("partition functions overflow double precision")
     return z_plus, z_minus
 
 
@@ -208,16 +209,6 @@ def husimi_trace_residual(p: LandauParams, beta: float, scheme: QuadratureScheme
 
 
 # -- lowest level and reproducing kernel ----------------------------------
-
-
-def lll_state(m: int, z_plus: complex) -> complex:
-    """Lowest-level wavefunction of angular index m at the point z_plus,
-    with magnetic length 1:  (2 pi m!)^(-1/2) (z/sqrt(2))^m e^(-|z|^2/4),
-    the coherent overlap <m|z/sqrt(2)> over sqrt(2 pi)."""
-    if m < 0:
-        raise ValueError("angular index must be nonnegative")
-    overlap = _coherent_columns(m + 1, complex(z_plus) / math.sqrt(2.0))[0, m]
-    return complex(overlap) / math.sqrt(2.0 * math.pi)
 
 
 def reproducing_kernel(space: FockSpace, z: complex, z_prime: complex) -> complex:

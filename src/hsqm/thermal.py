@@ -41,7 +41,6 @@ from .modular import ModularData, tomita_s
 from .quadrature import QuadratureScheme
 
 __all__ = [
-    "thermal_cs",
     "safe_radius",
     "resolution_operator",
     "resolution_residual",
@@ -75,16 +74,6 @@ def _displaced_purifications(space: FockSpace, spec: ThermalSpec, zs: list[compl
     """D(z) Phi_beta for each label inside the safe disc, shape (K, N, N)."""
     # D(z) @ Phi_beta scales column n of D(z) by sqrt(lambda_n)
     return _safe_displacements(space, zs) * np.sqrt(_gibbs_weights(space, spec))
-
-
-def thermal_cs(space: FockSpace, spec: ThermalSpec, z: complex) -> Operator:
-    """|z> = D(z) Phi_beta (Phi_beta = rho_beta^(1/2) at z = 0), a vector
-    of B2(H_N): a displaced Gibbs purification with unit HS norm (up to truncation).
-
-    Rejects labels outside the safe disc, where truncation would make
-    the norm contract unverifiable.
-    """
-    return Operator(space, _displaced_purifications(space, spec, [z])[0])
 
 
 def resolution_operator(

@@ -24,14 +24,12 @@ from typing import Callable
 import numpy as np
 
 from .fock import FockSpace, Operator, _closed_form_entries, _closed_form_support
-from .hs_space import hs_inner
 from .quadrature import QuadratureScheme
 
 __all__ = [
     "PhaseFunction",
     "wigner_function",
     "wigner_inverse",
-    "unitarity_residual",
 ]
 
 #: Signature of phase-space functions: f(x, y) -> complex, vectorized over
@@ -93,13 +91,3 @@ def wigner_inverse(f: PhaseFunction, scheme: QuadratureScheme, space: FockSpace)
     charge = np.subtract.outer(np.arange(n), np.arange(n)) + n - 1
     mat = np.einsum("rmn,rmn->mn", per_charge[:, charge], scheme._radial_stack(space))
     return Operator(space, mat / math.sqrt(2.0 * math.pi))
-
-
-def unitarity_residual(x: Operator, y: Operator, scheme: QuadratureScheme) -> float:
-    """| integral conj(W X) (W Y) dx dy  -  <X|Y> |."""
-    if x.space != y.space:
-        raise ValueError("operators live on different Fock spaces")
-    gram = scheme._ring_gram(scheme._radial_stack(x.space))
-    quad = x.mat.ravel().conj() @ gram @ y.mat.ravel()
-    return float(abs(quad - hs_inner(x, y)))
-

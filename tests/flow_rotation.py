@@ -11,7 +11,7 @@ import cmath
 
 import numpy as np
 
-from hsqm.fock import FockSpace, ThermalSpec, displacement
+from hsqm.fock import FockSpace, Operator, ThermalSpec, displacement_stack
 from hsqm.modular import ModularData, modular_flow
 
 N = 24
@@ -28,8 +28,8 @@ def flow_rotation_deviation(omega: float, beta: float) -> float:
     md = ModularData.from_thermal(space, ThermalSpec(omega, beta))
     worst = 0.0
     for z in LABELS:
-        d = displacement(space, z)
+        d = Operator(space, displacement_stack(space, [z])[0])
         for t in TIMES:
-            diff = modular_flow(md, t)(d) - displacement(space, cmath.exp(-1j * omega * beta * t) * z)
-            worst = max(worst, float(np.max(np.abs(diff.mat))))
+            diff = modular_flow(md, t)(d).mat - displacement_stack(space, [cmath.exp(-1j * omega * beta * t) * z])[0]
+            worst = max(worst, float(np.max(np.abs(diff))))
     return worst

@@ -14,8 +14,13 @@ default rings (R = 2N, A = 4N + 1) of N = 32, 64 and 128, from mpmath's
 own generalized Laguerre function at 50 digits, rounded to 20.  Half the
 samples sit on the ring nearest the entry's turning point t = 2(m + n) + 1,
 where the entries are largest.
+
+kernel_series.json: the truncated series sum_(m<24) (z conj(z'))^m / m!
+at the 20 label pairs (z, z') of tests/golden/kernel.csv (the default
+``hsqm kernel``, N = 24), summed at 60 digits and written to 50.
 """
 
+import csv
 import json
 from pathlib import Path
 
@@ -27,6 +32,8 @@ RULE_SIZES = (12, 32, 64, 128, 200)
 ENTRY_SIZES = (32, 64, 128)
 ENTRIES_PER_SIZE = 80
 SEED = 20240801
+KERNEL_GOLDEN = HERE.parent / "golden" / "kernel.csv"
+KERNEL_TERMS = 24
 
 
 def laguerre_pair(n, t):
@@ -76,6 +83,23 @@ def entry(m, n, alpha):
     return complex(value)
 
 
+def kernel_series():
+    """The series at each (z, z') row of the kernel golden, labels read as exact floats."""
+    mpmath.mp.dps = 60
+    pairs = []
+    for row in csv.DictReader(KERNEL_GOLDEN.read_text().splitlines()):
+        if row["kind"] != "row" or not row["re_z"]:
+            continue
+        z, zp = (mpmath.mpc(float(row[f"re_{k}"]), float(row[f"im_{k}"])) for k in ("z", "zp"))
+        w = z * mpmath.conj(zp)
+        value = mpmath.fsum(w**m / mpmath.factorial(m) for m in range(KERNEL_TERMS))
+        pairs.append(
+            {"z": [row["re_z"], row["im_z"]], "zp": [row["re_zp"], row["im_zp"]],
+             "value": [mpmath.nstr(part, 50, min_fixed=-1, max_fixed=-1) for part in (value.real, value.imag)]}
+        )
+    return pairs
+
+
 def main():
     rules = {}
     for radial_count in RULE_SIZES:
@@ -102,6 +126,7 @@ def main():
                  "value": [format(value.real, ".20g"), format(value.imag, ".20g")]}
             )
     (HERE / "displacement_entries.json").write_text(json.dumps(samples, indent=0) + "\n")
+    (HERE / "kernel_series.json").write_text(json.dumps(kernel_series(), indent=0) + "\n")
 
 
 if __name__ == "__main__":

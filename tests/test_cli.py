@@ -168,8 +168,11 @@ def test_husimi_grid(tmp_path):
     code, raw = _run(tmp_path, ["husimi", "--N", "8"])
     assert code == 0
     rows = [r for r in _rows(raw) if r["kind"] == "row"]
-    assert len(rows) == 41 * 41
-    assert all(float(r["q"]) >= 0 for r in rows)
+    grid = [r for r in rows if r["q"]]
+    assert len(grid) == 41 * 41
+    assert all(float(r["q"]) >= 0 for r in grid)
+    # the partition functions of the two sectors follow the grid
+    assert [r["name"] for r in rows[len(grid):]] == ["partition_plus", "partition_minus"]
 
 
 def test_resolution_reports_defect_honestly(tmp_path):

@@ -34,7 +34,9 @@ CONTRACTS = {
         f"{side}_{name}"
         for side in ("left", "right")
         for name in ("span_dim", "commutant_dim", "double_commutant_dim", "factor")
-    ) + ("left_right_mutual_commutant",),
+    ) + ("left_right_mutual_commutant",) + tuple(
+        f"left_{vector}_{name}" for vector in ("gibbs", "zero_weight") for name in ("cyclic", "separating")
+    ),
     "wigner": ("roundtrip_residual_00", "roundtrip_residual_12", "unitarity_gram_max_dev"),
     "kernel": ("kernel_max_abs_err", "project_hol_max_err"),
     "uncertainty": tuple(

@@ -13,7 +13,7 @@ import csv
 import numpy as np
 import pytest
 
-from hsqm import cli, hs_space, modular, quadrature
+from hsqm import cli, commutant, hs_space, modular, quadrature
 from flow_rotation import SPECS, TOL, flow_rotation_deviation
 from known_red import known_red_excess
 
@@ -52,6 +52,12 @@ def _delta_exponent_scaled(md, s):
     return _DELTA_POWER(md, 1.01 * s)
 
 
+def _image_rank_no_cutoff(alg, phi):
+    # every singular value above 0 counts, rounding noise included
+    cols = np.column_stack([g @ np.asarray(phi, dtype=complex) for g in alg.basis])
+    return int(np.sum(np.linalg.svd(cols, compute_uv=False) > 0))
+
+
 MUTANTS = [
     ("kms-energies-x1.01", modular.ModularData, "from_thermal", staticmethod(_energies_scaled),
      ["kms", "--N", "16"], ["kms_max_residual"]),
@@ -67,6 +73,8 @@ MUTANTS = [
      ["resolution", "--N", "16"], ["hiho_frame_residual", "xaxa_frame_residual", "resolv_residual"]),
     ("polar-delta-exponent-x1.01", modular, "delta_power", _delta_exponent_scaled,
      ["modular", "--N", "16"], ["polar_residual"]),
+    ("commutant-image-rank-no-cutoff", commutant, "_image_rank", _image_rank_no_cutoff,
+     ["commutant", "--N", "4"], ["left_zero_weight_cyclic", "left_zero_weight_separating"]),
 ]
 #: exit codes of the unpatched runs that are not 0: ``resolution`` reports
 #: the unweighted identity diagnostic, red by design, so it exits 1 both
@@ -83,10 +91,11 @@ def _contracts(path):
 def test_contract_turns_red_under_mutant(name, target, attr, replacement, argv, red, tmp_path, monkeypatch):
     out = tmp_path / "out.csv"
     assert cli.main(argv + ["--out", str(out)]) == BASE_EXIT.get(argv[0], 0)
-    assert all(_contracts(out)[c] == "true" for c in red)
+    base = _contracts(out)
+    assert all(base[c] == "true" for c in red)
     monkeypatch.setattr(target, attr, replacement)
     assert cli.main(argv + ["--out", str(out)]) == 1
-    assert all(_contracts(out)[c] == "false" for c in red)
+    assert _contracts(out) == {**base, **dict.fromkeys(red, "false")}
 
 
 FLOW_MUTANTS = [

@@ -15,14 +15,12 @@ from hsqm.fock import (
     ThermalSpec,
     _closed_form_entries,
     _closed_form_support,
+    _coherent_columns,
     annihilation,
     creation,
-    displacement,
     displacement_stack,
     gibbs_density,
-    momentum,
     osc_hamiltonian,
-    position,
 )
 from hsqm.quadrature import QuadratureScheme, _laguerre_rule
 
@@ -70,44 +68,33 @@ def test_creation_is_adjoint():
     assert creation(FockSpace(6)).mat[3, 2] == pytest.approx(math.sqrt(3))
 
 
-def test_quadratures():
-    sp = FockSpace(3)
-    assert position(sp).mat[0, 1] == pytest.approx(1 / math.sqrt(2))
-    p = momentum(FockSpace(7)).mat
-    assert np.array_equal(p, p.conj().T)
-    q10 = position(FockSpace(10)).mat
-    p10 = momentum(FockSpace(10)).mat
-    comm = q10 @ p10 - p10 @ q10
-    assert comm[0, 0] == pytest.approx(1j)
-    assert np.max(np.abs(comm[:9, :9] - 1j * np.eye(9))) <= 1e-14
-
-
 def test_osc_hamiltonian():
     h = osc_hamiltonian(FockSpace(4), 1.0).mat
     assert np.allclose(np.diag(h), [0.5, 1.5, 2.5, 3.5])
     assert osc_hamiltonian(FockSpace(5), 2.0).mat[3, 3] == pytest.approx(7.0)
 
-    sp = FockSpace(16)
-    q, p = position(sp).mat, momentum(sp).mat
+    a = annihilation(FockSpace(16)).mat
+    # the quadratures Q = (a + a†)/sqrt(2) and P = (a - a†)/(i sqrt(2))
+    q, p = (a + a.T) / math.sqrt(2.0), -1j * (a - a.T) / math.sqrt(2.0)
     direct = 0.5 * (p @ p + q @ q) * 1.3
-    h16 = osc_hamiltonian(sp, 1.3).mat
+    h16 = osc_hamiltonian(FockSpace(16), 1.3).mat
     assert np.max(np.abs((direct - h16)[:14, :14])) <= 1e-12
 
 
 def test_displacement_identity_and_vacuum():
     sp = FockSpace(12)
-    assert np.allclose(displacement(sp, 0.0).mat, np.eye(12))
+    assert np.allclose(displacement_stack(sp, [0.0])[0], np.eye(12))
     for n in (2, 5, 12, 64):
         # exactly, not to the recurrence's rounding
         assert np.array_equal(displacement_stack(FockSpace(n), np.array([0.3, 0.0, -1j]))[1], np.eye(n))
     # vacuum matrix element against the exponential-series oracle
-    assert displacement(sp, 1.0).mat[0, 0] == pytest.approx(math.exp(-0.5), abs=1e-14)
+    assert displacement_stack(sp, [1.0])[0, 0, 0] == pytest.approx(math.exp(-0.5), abs=1e-14)
 
 
 @pytest.mark.parametrize("alpha", [0.3, 1.0, 0.5 + 0.5j, -0.2 + 0.9j, 1j])
 def test_displacement_vs_expm_oracle(alpha):
     sp = FockSpace(40)
-    d = displacement(sp, alpha).mat
+    d = displacement_stack(sp, [alpha])[0]
     gen = alpha * creation(sp).mat - np.conj(alpha) * annihilation(sp).mat
     oracle = expm(gen)
     assert np.linalg.norm((d - oracle)[:10, :10]) <= 1e-8
@@ -120,15 +107,27 @@ def test_displacement_inverse_on_safe_block(alpha):
     # deviation is ~1e-3 at any truncation
     sp = FockSpace(32)
     assert abs(alpha) <= math.sqrt(sp.dim) / 4
-    prod = (displacement(sp, alpha) @ displacement(sp, -alpha)).mat
+    d, d_inverse = displacement_stack(sp, [alpha, -alpha])
+    prod = d @ d_inverse
     half = sp.dim // 2
     assert np.max(np.abs(prod[:half, :half] - np.eye(half))) <= 1e-8
 
 
 def test_displacement_inverse_small_label_small_space():
     sp = FockSpace(20)
-    prod = (displacement(sp, 0.4) @ displacement(sp, -0.4)).mat
+    d, d_inverse = displacement_stack(sp, [0.4, -0.4])
+    prod = d @ d_inverse
     assert np.max(np.abs(prod[:10, :10] - np.eye(10))) <= 1e-8
+
+
+def test_coherent_column_values():
+    # <m|w> = e^(-|w|^2/2) w^m / sqrt(m!), column 0 of D(w), at a complex w
+    assert np.array_equal(_coherent_columns(6, 0.0)[0], np.eye(6)[0])
+    w = (1.1 - 0.4j) / math.sqrt(2.0)
+    expect = w**3 / math.sqrt(6.0) * math.exp(-abs(w) ** 2 / 2.0)
+    assert _coherent_columns(4, w)[0, 3] == pytest.approx(expect, abs=1e-14)
+    total = np.sum(np.abs(_coherent_columns(60, 0.8 - 0.4j)[0]) ** 2)
+    assert total == pytest.approx(1.0, abs=1e-13)
 
 
 def test_gibbs_density():

@@ -16,6 +16,7 @@ records ``out``.
 import csv
 import json
 import math
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -23,6 +24,7 @@ import pytest
 from hsqm import cli
 
 GOLDEN = Path(__file__).parent / "golden"
+REFERENCE = Path(__file__).parent / "reference"
 COMMANDS = ("spectrum", "husimi", "resolution", "kms", "modular", "commutant", "wigner", "kernel", "uncertainty")
 
 
@@ -97,3 +99,25 @@ def test_commutant_golden_is_the_wedderburn_count():
     assert len(cells) == 2 * 2 * 2 * 4  # CSV and JSON, rows and contracts, two algebras, four columns
     for (alg, column), cell in cells:
         assert type(cell) is type(expect[alg][column]) and cell == expect[alg][column]
+
+
+#: largest distance of a golden kernel cell from the 50-digit series, in
+#: ulp of |K|; measured 3.20 (re_K) and 1.46 (im_K)
+_KERNEL_ULPS = {"re_K": 4, "im_K": 2}
+
+
+def test_kernel_golden_is_the_truncated_series():
+    # K = sum_(m<24) (z conj(z'))^m / m! at each golden label pair, from
+    # tests/reference/kernel_series.json (mpmath, 50 digits); compared as
+    # exact fractions
+    reference = json.loads((REFERENCE / "kernel_series.json").read_text())
+    rows = [r for r in csv.DictReader((GOLDEN / "kernel.csv").read_text().splitlines()) if r["re_z"]]
+    doc_rows = [r for r in json.loads((GOLDEN / "json" / "kernel.json").read_text())["rows"] if "re_z" in r]
+    assert len(rows) == len(doc_rows) == len(reference) == 20
+    for row, doc_row, ref in zip(rows, doc_rows, reference):
+        assert [row["re_z"], row["im_z"], row["re_zp"], row["im_zp"]] == ref["z"] + ref["zp"]
+        exact = dict(zip(("re_K", "im_K"), map(Fraction, ref["value"])))
+        ulp = Fraction(math.ulp(math.hypot(*map(float, exact.values()))))
+        for column, bound in _KERNEL_ULPS.items():
+            for cell in (float(row[column]), doc_row[column]):
+                assert abs(Fraction(cell) - exact[column]) <= bound * ulp, (column, ref["z"], ref["zp"])

@@ -10,7 +10,6 @@ from hsqm.fock import (
     FockSpace,
     Operator,
     ThermalSpec,
-    displacement,
     displacement_stack,
     annihilation,
     creation,
@@ -22,13 +21,13 @@ from hsqm.landau import (
     LandauParams,
     chiral_frequencies,
     husimi,
-    lll_state,
+    partition,
     project_hol,
     reproducing_kernel,
 )
 from hsqm.modular import AntilinearMap, ModularData, kms_residual, modular_conjugation, state_eval
 from hsqm.quadrature import QuadratureScheme
-from hsqm.wigner import unitarity_residual, wigner_function
+from hsqm.wigner import wigner_function
 
 SP, OTHER = FockSpace(3), FockSpace(4)
 DEFAULT = LandauParams(mass=1.0, omega0=1.0, omega_c=1.0, theta=0.1)
@@ -47,11 +46,9 @@ def _set_entries(op):
 NON_FINITE = {
     "displacement_stack": lambda v: displacement_stack(SP, [0.5, v]),
     "displacement_stack_imag": lambda v: displacement_stack(SP, [complex(0.5, v)]),
-    "displacement": lambda v: displacement(SP, v),
+    "displacement": lambda v: displacement_stack(SP, v),  # one scalar label
     "wigner_function_x": lambda v: wigner_function(basis_element(SP, 1, 0))(v, 0.0),
     "wigner_function_y": lambda v: wigner_function(basis_element(SP, 1, 0))(np.zeros(2), np.array([0.5, v])),
-    "lll_state": lambda v: lll_state(2, v),
-    "lll_state_imag": lambda v: lll_state(2, complex(0.3, v)),
     "reproducing_kernel_z": lambda v: reproducing_kernel(SP, v, 0.5),
     "reproducing_kernel_z_prime": lambda v: reproducing_kernel(SP, 0.5, complex(0.1, v)),
     "husimi_plus": lambda v: husimi(DEFAULT, 1.0, v, 0.0),
@@ -107,7 +104,12 @@ GUARDS = {
         "overflow double precision in the chiral frequencies",
         lambda: chiral_frequencies(LandauParams(1.0, 1e150, 1e-10, 1e-160)),
     ),
-    "lll_state-negative": (ValueError, "angular index must be nonnegative", lambda: lll_state(-1, 0.5)),
+    # beta = 1e-310 passes the beta guard; 1/(1 - e^(-beta h Omega)) overflows
+    "partition-overflow": (
+        ValueError,
+        "partition functions overflow double precision",
+        lambda: partition(LandauParams(1.0, 1.0, 2.0, 0.1), 1e-310),
+    ),
     "AntilinearMap-shape": (
         ValueError,
         "sandwich factors have wrong shape",
@@ -137,11 +139,6 @@ GUARDS = {
         ValueError,
         "operator lives on a different Fock space",
         lambda: state_eval(_md(), identity(OTHER)),
-    ),
-    "unitarity_residual-spaces": (
-        ValueError,
-        "different Fock spaces",
-        lambda: unitarity_residual(identity(SP), identity(OTHER), QuadratureScheme.default(4)),
     ),
 }
 

@@ -9,7 +9,6 @@ from hsqm.fock import FockSpace, Operator, annihilation, creation, identity
 from hsqm.hs_space import (
     SuperOp,
     basis_element,
-    hs_inner,
     hs_norm,
     vee,
 )
@@ -18,29 +17,6 @@ from hsqm.hs_space import (
 def _random_op(space, rng):
     n = space.dim
     return Operator(space, rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-
-
-def test_inner_orthonormality():
-    sp = FockSpace(4)
-    assert hs_inner(basis_element(sp, 0, 1), basis_element(sp, 0, 1)) == 1
-    assert hs_inner(basis_element(sp, 0, 1), basis_element(sp, 1, 0)) == 0
-    assert hs_inner(identity(sp), identity(sp)) == 4
-
-
-def test_inner_dimension_mismatch():
-    with pytest.raises(ValueError):
-        hs_inner(identity(FockSpace(3)), identity(FockSpace(4)))
-
-
-@settings(max_examples=50, deadline=None)
-@given(st.integers(0, 2**32 - 1))
-def test_inner_conjugate_symmetry(seed):
-    rng = np.random.default_rng(seed)
-    sp = FockSpace(4)
-    x, y = _random_op(sp, rng), _random_op(sp, rng)
-    assert hs_inner(x, y) == pytest.approx(np.conj(hs_inner(y, x)), abs=1e-12)
-    # positivity
-    assert hs_inner(x, x).real >= 0
 
 
 def test_basis_element():
@@ -65,7 +41,7 @@ def test_basis_completeness_and_gram():
 
     gram = np.array(
         [
-            [hs_inner(basis_element(sp, a, b), basis_element(sp, c, d)) for c in range(3) for d in range(3)]
+            [np.vdot(basis_element(sp, a, b).mat, basis_element(sp, c, d).mat) for c in range(3) for d in range(3)]
             for a in range(3)
             for b in range(3)
         ]
@@ -88,8 +64,8 @@ def test_vee_identity_and_laws():
     a, b = _random_op(sp, rng), _random_op(sp, rng)
     # adjoint law (A ∨ B)* = A† ∨ B† against the inner-product definition
     y = _random_op(sp, rng)
-    lhs = hs_inner(x, vee(a, b)(y))
-    rhs = hs_inner(vee(a.dag(), b.dag())(x), y)
+    lhs = np.vdot(x.mat, vee(a, b)(y).mat)
+    rhs = np.vdot(vee(a.dag(), b.dag())(x).mat, y.mat)
     assert lhs == pytest.approx(rhs, abs=1e-12)
 
     # product law (A ∨ B)(A2 ∨ B2) = (A A2) ∨ (B B2)

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.special import gammaln
 
-from hsqm.fock import FockSpace, displacement_stack
+from hsqm.fock import FockSpace, _coherent_columns, displacement_stack
 from hsqm.hs_space import basis_element
 from hsqm.landau import (
     LandauParams,
@@ -16,7 +16,6 @@ from hsqm.landau import (
     classical_frame,
     husimi,
     husimi_trace_residual,
-    lll_state,
     partition,
     project_hol,
     reproducing_kernel,
@@ -257,26 +256,11 @@ def test_husimi_trace_residual_generated_params(mass, omega0, omega_c, theta, hb
     assert abs(residual - _husimi_trace_residual_on_grid(p, beta, scheme)) <= 1e-15
 
 
-def test_lll_state_values():
-    assert lll_state(0, 0.0) == pytest.approx(1.0 / math.sqrt(2 * math.pi), abs=1e-15)
-    z = 1.1 - 0.4j
-    expect = (z / math.sqrt(2)) ** 3 / math.sqrt(2 * math.pi * 6) * math.exp(-abs(z) ** 2 / 4)
-    assert lll_state(3, z) == pytest.approx(expect, abs=1e-14)
-    for m in (1, 2, 5):
-        assert lll_state(m, 0.0) == 0.0
-    total = sum(abs(_lll_overlap(m, 0.8 - 0.4j)) ** 2 for m in range(60))
-    assert total == pytest.approx(1.0, abs=1e-13)
-
-
-def _lll_overlap(m, w):
-    """<m|w> = e^(-|w|^2/2) w^m / sqrt(m!), read off lll_state at z = sqrt(2) w."""
-    return math.sqrt(2.0 * math.pi) * lll_state(m, math.sqrt(2.0) * w)
-
-
 def test_projector_coherent_elements():
     sp = FockSpace(32)
     z, zp = 0.7 - 0.2j, -0.4 + 0.5j
-    elem = sum(_lll_overlap(m, z) * np.conj(_lll_overlap(m, zp)) for m in range(sp.dim))
+    column, column_p = _coherent_columns(sp.dim, np.array([z, zp]))  # <m|z> and <m|z'>
+    elem = np.sum(column * np.conj(column_p))
     expect = math.exp(-(abs(z) ** 2 + abs(zp) ** 2) / 2.0) * np.exp(z * np.conj(zp))
     assert elem == pytest.approx(expect, abs=1e-13)
 

@@ -9,8 +9,8 @@ from scipy.linalg import expm
 
 from hsqm import modular
 from hsqm.commutant import AlgebraGens, algebra_span, span_contains
-from hsqm.fock import FockSpace, Operator, ThermalSpec, annihilation, creation, identity, osc_hamiltonian, position
-from hsqm.hs_space import SuperOp, basis_element, hs_inner, hs_norm, vee
+from hsqm.fock import FockSpace, Operator, ThermalSpec, annihilation, creation, identity, osc_hamiltonian
+from hsqm.hs_space import SuperOp, basis_element, hs_norm, vee
 from hsqm.modular import (
     AntilinearMap,
     ModularData,
@@ -227,7 +227,8 @@ def test_kms_trivial_and_diagonal():
 def test_kms_number_position():
     sp = FockSpace(10)
     md = ModularData.from_thermal(sp, ThermalSpec(1.0, 1.0))
-    assert kms_residual(md, creation(sp) @ annihilation(sp), position(sp), 0.5) <= 1e-10
+    position = (annihilation(sp) + creation(sp)) * (1.0 / math.sqrt(2.0))  # Q = (a + a†)/sqrt(2)
+    assert kms_residual(md, creation(sp) @ annihilation(sp), position, 0.5) <= 1e-10
 
 
 @pytest.mark.parametrize("seed", [3, 11, 29])
@@ -316,7 +317,7 @@ def test_state_eval():
     assert state_eval(md, identity(sp)) == pytest.approx(1.0, abs=1e-14)
     a = _random_op(6, 77)
     phi = md.sqrt_rho
-    assert state_eval(md, a) == pytest.approx(hs_inner(phi, vee(a, identity(sp))(phi)), abs=1e-13)
+    assert state_eval(md, a) == pytest.approx(np.vdot(phi.mat, vee(a, identity(sp))(phi).mat), abs=1e-13)
     lam0 = md.rho.mat[0, 0].real
     assert state_eval(md, basis_element(sp, 0, 0)) == pytest.approx(lam0, abs=1e-15)
 

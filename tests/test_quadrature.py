@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from hsqm.fock import FockSpace, Operator, ThermalSpec, displacement_stack, gibbs_density
-from hsqm.hs_space import block_indices, hs_inner
+from hsqm.hs_space import block_indices
 from hsqm.quadrature import QuadratureScheme, _laguerre_rule
 from hsqm.thermal import resolution_operator
-from hsqm.wigner import unitarity_residual, wigner_function, wigner_inverse
+from hsqm.wigner import wigner_function, wigner_inverse
 from node_weights import node_weights
 
 
@@ -95,8 +95,8 @@ def test_xy_convention():
 # -- polar path against brute force ------------------------------------------
 #
 # _ring_gram (the full frame, an oracle for resolution_operator's block
-# columns), wigner_inverse and unitarity_residual build their
-# node sums from R radial matrices and the mod-A charge rule; the
+# columns, and the Gram of the Wigner images that the unitarity contract
+# reads) and wigner_inverse build their node sums from R radial matrices and the mod-A charge rule; the
 # references below sum over all K = R*A node matrices directly.  Aliased
 # schemes (A < 2N - 1) with odd and even A exercise charges that differ
 # by A, and the mirror sign (-1)^(c - c') at c - c' = +-A.
@@ -168,5 +168,7 @@ def test_unitarity_residual_matches_node_sum(n, radial, angular):
     x, y = _random_operator(sp, 2 * n), _random_operator(sp, 2 * n + 1)
     vx = np.einsum("kmn,mn->k", stack.conj(), x.mat) / math.sqrt(2 * math.pi)
     vy = np.einsum("kmn,mn->k", stack.conj(), y.mat) / math.sqrt(2 * math.pi)
-    reference = abs(np.sum(node_weights(scheme) * vx.conj() * vy) - hs_inner(x, y))
-    assert abs(unitarity_residual(x, y, scheme) - reference) <= 1e-13
+    inner = np.vdot(x.mat, y.mat)
+    reference = abs(np.sum(node_weights(scheme) * vx.conj() * vy) - inner)
+    gram = scheme._ring_gram(scheme._radial_stack(sp))
+    assert abs(abs(x.mat.ravel().conj() @ gram @ y.mat.ravel() - inner) - reference) <= 1e-13

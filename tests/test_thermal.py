@@ -5,34 +5,40 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hsqm.fock import FockSpace, Operator, ThermalSpec, displacement, displacement_stack, gibbs_density
+from hsqm.fock import FockSpace, Operator, ThermalSpec, displacement_stack, gibbs_density
 from hsqm.hs_space import basis_element, block_indices, hs_norm
 from hsqm.modular import ModularData
 from hsqm.quadrature import QuadratureScheme
 from hsqm.thermal import (
     _column_block_norm,
+    _displaced_purifications,
     cs_overlap,
     frame_operator_residual,
     resolution_operator,
     resolution_residual,
     s_beta_reflection,
     safe_radius,
-    thermal_cs,
 )
+
+
+def _thermal_cs(space, spec, z):
+    """|z> = D(z) Phi_beta, the state whose overlaps cs_overlap takes."""
+    return Operator(space, _displaced_purifications(space, spec, [z])[0])
+
 
 # The thermal vector Phi_beta = rho_beta^(1/2) is the family at z = 0.
 
 
 def test_thermal_vector_ground_limit():
     sp = FockSpace(8)
-    phi = thermal_cs(sp, ThermalSpec(1.0, math.inf), 0.0)
+    phi = _thermal_cs(sp, ThermalSpec(1.0, math.inf), 0.0)
     assert hs_norm(phi - basis_element(sp, 0, 0)) == 0.0
 
 
 def test_thermal_vector_norm_and_entries():
     sp = FockSpace(20)
     spec = ThermalSpec(1.0, 1.2)
-    phi = thermal_cs(sp, spec, 0.0)
+    phi = _thermal_cs(sp, spec, 0.0)
     assert hs_norm(phi) == pytest.approx(1.0, abs=1e-14)
     analytic = np.sqrt((1 - math.exp(-1.2)) * np.exp(-1.2 * np.arange(20)))
     rel = np.abs(np.diag(phi.mat).real - analytic) / analytic
@@ -44,19 +50,18 @@ def test_thermal_vector_norm_and_entries():
 def test_cs_at_origin_and_safety():
     sp = FockSpace(16)
     spec = ThermalSpec(1.0, 0.9)
-    cs = thermal_cs(sp, spec, 0.0)
-    assert isinstance(cs, Operator)
+    cs = _thermal_cs(sp, spec, 0.0)
     # D(0) is the identity, so |0> is diag(sqrt(lambda)), the entrywise
     # root of the diagonal density, to the bit
     assert hs_norm(cs - Operator(sp, np.sqrt(gibbs_density(sp, spec).mat))) == 0.0
-    with pytest.raises(ValueError):
-        thermal_cs(sp, spec, 1.5 * safe_radius(sp))
+    with pytest.raises(ValueError, match="exceeds the safe displacement radius"):
+        cs_overlap(sp, spec, 0.0, 1.5 * safe_radius(sp))
 
 
 def test_ground_limit_is_canonical_cs():
     sp = FockSpace(24)
     z = 0.8 - 0.3j
-    cs = thermal_cs(sp, ThermalSpec(1.0, math.inf), z)
+    cs = _thermal_cs(sp, ThermalSpec(1.0, math.inf), z)
     n = np.arange(24)
     canonical = np.exp(-abs(z) ** 2 / 2.0) * z**n / np.sqrt(
         np.array([math.factorial(k) for k in range(24)], dtype=float)
@@ -71,20 +76,20 @@ def test_cs_norm_in_safe_disc():
     sp = FockSpace(24)
     cold = ThermalSpec(1.0, 2.0)
     for z in (0.5, 1.0j, safe_radius(sp) * 0.99):
-        assert hs_norm(thermal_cs(sp, cold, z)) == pytest.approx(1.0, abs=1e-10)
+        assert hs_norm(_thermal_cs(sp, cold, z)) == pytest.approx(1.0, abs=1e-10)
     warm = ThermalSpec(1.0, 1.0)
     sp32 = FockSpace(32)
     for z in (0.5, 1.0j):
-        assert hs_norm(thermal_cs(sp32, warm, z)) == pytest.approx(1.0, abs=1e-10)
+        assert hs_norm(_thermal_cs(sp32, warm, z)) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_expansion_coefficients_vs_scaled_displacement():
     sp = FockSpace(20)
     spec = ThermalSpec(1.0, 1.0)
     z = 0.4 - 0.3j
-    state = thermal_cs(sp, spec, z)
+    state = _thermal_cs(sp, spec, z)
     lam = np.diag(gibbs_density(sp, spec).mat).real
-    d = displacement(sp, z).mat
+    d = displacement_stack(sp, [z])[0]
     for j in range(6):
         for i in range(6):
             assert state.mat[j, i] == pytest.approx(d[j, i] * math.sqrt(lam[i]), abs=1e-8)
@@ -97,7 +102,7 @@ def test_overlap_law():
     z1, z2 = 0.4 + 0.2j, -0.3 + 0.5j
     direct = cs_overlap(sp, spec, z1, z2)
     phase = np.exp(-1j * (z1 * np.conj(z2)).imag)
-    closed = phase * np.trace(rho @ displacement(sp, z2 - z1).mat)
+    closed = phase * np.trace(rho @ displacement_stack(sp, [z2 - z1])[0])
     assert direct == pytest.approx(closed, abs=1e-10)
 
 

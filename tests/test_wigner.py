@@ -9,46 +9,47 @@ from hsqm.fock import (
     FockSpace,
     Operator,
     ThermalSpec,
-    displacement,
     displacement_stack,
     gibbs_density,
     identity,
     osc_hamiltonian,
 )
-from hsqm.hs_space import basis_element, hs_inner, hs_norm, vee
+from hsqm.hs_space import basis_element, hs_norm, vee
 from hsqm.quadrature import QuadratureScheme
-from hsqm.thermal import thermal_cs
-from hsqm.wigner import _z_of_xy, unitarity_residual, wigner_function, wigner_inverse
+from hsqm.wigner import _z_of_xy, wigner_function, wigner_inverse
+
+
+def _weyl(sp, x, y):
+    """The matrix of U(x, y) = D((y - ix)/sqrt(2))."""
+    return displacement_stack(sp, [_z_of_xy(x, y)])[0]
 
 
 def test_weyl_at_origin():
     sp = FockSpace(10)
-    assert np.allclose(displacement(sp, _z_of_xy(0.0, 0.0)).mat, np.eye(10))
+    assert np.allclose(_weyl(sp, 0.0, 0.0), np.eye(10))
 
 
 def test_weyl_vacuum_element():
     sp = FockSpace(16)
-    u = displacement(sp, _z_of_xy(1.0, 0.0))
-    assert u.mat[0, 0] == pytest.approx(math.exp(-0.25), abs=1e-14)
-    u2 = displacement(sp, _z_of_xy(0.7, -1.1))
-    assert u2.mat[0, 0] == pytest.approx(math.exp(-(0.7**2 + 1.1**2) / 4.0), abs=1e-14)
+    assert _weyl(sp, 1.0, 0.0)[0, 0] == pytest.approx(math.exp(-0.25), abs=1e-14)
+    assert _weyl(sp, 0.7, -1.1)[0, 0] == pytest.approx(math.exp(-(0.7**2 + 1.1**2) / 4.0), abs=1e-14)
 
 
 def test_weyl_adjoint_is_reflection():
     sp = FockSpace(14)
     x, y = 0.8, -0.5
-    u = displacement(sp, _z_of_xy(x, y))
-    v = displacement(sp, _z_of_xy(-x, -y))
+    u, v = _weyl(sp, x, y), _weyl(sp, -x, -y)
     half = sp.dim // 2
-    assert np.max(np.abs((u.dag().mat - v.mat)[:half, :half])) <= 1e-12
+    assert np.max(np.abs((u.conj().T - v)[:half, :half])) <= 1e-12
 
 
 def test_weyl_composition_phase():
     sp = FockSpace(24)
     a1, a2 = _z_of_xy(0.5, 0.2), _z_of_xy(-0.3, 0.6)
     phase = np.exp(1j * (a1 * np.conj(a2)).imag)
-    prod = (displacement(sp, a1) @ displacement(sp, a2)).mat
-    target = phase * displacement(sp, a1 + a2).mat
+    d1, d2, d12 = displacement_stack(sp, [a1, a2, a1 + a2])
+    prod = d1 @ d2
+    target = phase * d12
     half = sp.dim // 2
     assert np.max(np.abs((prod - target)[:half, :half])) <= 1e-10
     assert abs(abs(phase) - 1.0) <= 1e-15
@@ -69,7 +70,7 @@ def test_transform_matches_displacement_entries():
     for _ in range(10):
         x, y = rng.uniform(-1.5, 1.5, 2)
         x, y = float(x), float(y)
-        d = displacement(sp, _z_of_xy(x, y)).mat
+        d = _weyl(sp, x, y)
         n, l = rng.integers(0, 8, 2)
         got = wigner_function(basis_element(sp, int(n), int(l)))(x, y)
         expect = np.conj(d[n, l]) / math.sqrt(2 * math.pi)
@@ -167,13 +168,20 @@ def test_round_trip_mixed_operator():
     assert hs_norm(back - x) <= 1e-6 * hs_norm(x)
 
 
+def _unitarity_residual(n_levels, scheme, ab, cd):
+    """| integral conj(W X) (W Y) dx dy - Tr[X† Y] | for X = |a><b| and
+    Y = |c><d|: the deviation of one entry of the Gram matrix of the
+    Wigner images (the matrix ``hsqm wigner`` checks) from the identity."""
+    gram = scheme._ring_gram(scheme._radial_stack(FockSpace(n_levels)))
+    (a, b), (c, d) = ab, cd
+    return abs(gram[a * n_levels + b, c * n_levels + d] - float(ab == cd))
+
+
 def test_unitarity_residuals():
-    sp = FockSpace(24)
     scheme = QuadratureScheme.default(24)
-    assert unitarity_residual(basis_element(sp, 0, 0), basis_element(sp, 0, 0), scheme) <= 1e-8
-    assert unitarity_residual(basis_element(sp, 0, 1), basis_element(sp, 1, 0), scheme) <= 1e-8
-    sp32 = FockSpace(32)
-    assert unitarity_residual(basis_element(sp32, 5, 5), basis_element(sp32, 5, 5), QuadratureScheme.default(32)) <= 1e-6
+    assert _unitarity_residual(24, scheme, (0, 0), (0, 0)) <= 1e-8
+    assert _unitarity_residual(24, scheme, (0, 1), (1, 0)) <= 1e-8
+    assert _unitarity_residual(32, QuadratureScheme.default(32), (5, 5), (5, 5)) <= 1e-6
 
 
 def test_lifted_expansion_coefficients():
@@ -181,12 +189,11 @@ def test_lifted_expansion_coefficients():
     # transform values of the basis elements
     sp = FockSpace(20)
     spec = ThermalSpec(1.0, 1.0)
-    phi = thermal_cs(sp, spec, 0.0)  # Phi_beta
     lam = np.diag(gibbs_density(sp, spec).mat).real
     x, y = 0.6, 0.3
-    moved = displacement(sp, _z_of_xy(x, y)) @ phi
+    moved = _weyl(sp, x, y) * np.sqrt(lam)  # D(z) Phi_beta, Phi_beta = diag(sqrt(lambda))
     for j, i in ((0, 0), (2, 1), (4, 3)):
-        coeff = hs_inner(basis_element(sp, j, i), moved)
+        coeff = moved[j, i]  # <|j><i| | D(z) Phi_beta>
         pred = math.sqrt(2 * math.pi) * math.sqrt(lam[i]) * np.conj(
             wigner_function(basis_element(sp, j, i))(x, y)
         )
@@ -207,8 +214,6 @@ def test_oscillator_eigenrelation_in_operator_picture():
 def test_pairwise_unitarity():
     # the full Gram matrix is assembled in the acceptance suite; spot
     # check a few pairs here
-    sp = FockSpace(12)
     scheme = QuadratureScheme.default(12)
-    for (a, b), (c, d) in (((0, 0), (0, 0)), ((1, 2), (1, 2)), ((2, 1), (3, 0)), ((4, 4), (0, 0))):
-        res = unitarity_residual(basis_element(sp, a, b), basis_element(sp, c, d), scheme)
-        assert res <= 1e-8
+    for ab, cd in (((0, 0), (0, 0)), ((1, 2), (1, 2)), ((2, 1), (3, 0)), ((4, 4), (0, 0))):
+        assert _unitarity_residual(12, scheme, ab, cd) <= 1e-8
