@@ -9,7 +9,10 @@ threshold, ok)`` tuples; a ``None`` cell is absent (empty in CSV, no key
 in JSON).  Output is deterministic byte-for-byte for a fixed
 configuration: fixed seeds, fixed summation orders, no timestamps.
 A subcommand accepts --N, --format, --out and the flags of its ``_COMMANDS``
-entry only, so the JSON ``config`` echoes the settings of that run.
+entry only, so the JSON ``config`` echoes the settings of that run.  The
+phase-plane subcommands (husimi, resolution, wigner, kernel) integrate on
+``QuadratureScheme.default(N)``, exact for their integrands; no flag
+changes the rule, and N > 268, past the radial rule's reach, exits 2.
 """
 
 from __future__ import annotations
@@ -41,21 +44,6 @@ def _landau_params(args) -> landau.LandauParams:
     return landau.LandauParams(
         mass=args.mass, omega0=args.omega0, omega_c=args.omega_c, theta=args.theta, hbar=args.hbar
     )
-
-
-def _scheme(args, n_levels: int) -> QuadratureScheme:
-    # the default sizes, without building a default rule a flag replaces
-    radial, angular = QuadratureScheme._default_sizes(n_levels)
-    scheme = QuadratureScheme(
-        radial if args.radial_nodes is None else args.radial_nodes,
-        # husimi takes no --angular-nodes: its trace residual reads the rings only
-        angular if getattr(args, "angular_nodes", None) is None else args.angular_nodes,
-    )
-    if not (args.allow_small or scheme.adequate_for(n_levels)):
-        raise ValueError(
-            f"N={n_levels} needs at least {2 * n_levels} radial and {2 * n_levels + 1} angular nodes (or --allow-small)"
-        )
-    return scheme
 
 
 def _check(contracts, name, value, threshold):
@@ -90,7 +78,7 @@ def _cmd_husimi(args):
     x, y = np.meshgrid(grid, grid, indexing="ij")
     q = landau.husimi(params, args.beta, x + 1j * y, 0.0).ravel().tolist()
     contracts = []
-    scheme = _scheme(args, args.N)
+    scheme = QuadratureScheme.default(args.N)
     _check(contracts, "husimi_trace_residual", landau.husimi_trace_residual(params, args.beta, scheme), 1e-10)
     _check(contracts, "husimi_negativity", max(0.0, -min(q)), 0.0)
     z_plus, z_minus = landau.partition(params, args.beta)
@@ -101,7 +89,7 @@ def _cmd_husimi(args):
 def _cmd_resolution(args):
     space = FockSpace(args.N)
     spec = ThermalSpec(args.omega, args.beta)
-    scheme = _scheme(args, args.N)
+    scheme = QuadratureScheme.default(args.N)
     checks = []
     ident = thermal.resolution_residual(space, spec, scheme)
     frame = thermal.frame_operator_residual(space, spec, scheme)
@@ -210,7 +198,7 @@ def _cmd_commutant(args):
 
 def _cmd_wigner(args):
     space = FockSpace(args.N)
-    scheme = _scheme(args, args.N)
+    scheme = QuadratureScheme.default(args.N)
 
     grid = np.linspace(-3.0, 3.0, 21)
     x, y = np.meshgrid(grid, grid, indexing="ij")
@@ -235,7 +223,7 @@ def _cmd_wigner(args):
 
 def _cmd_kernel(args):
     space = FockSpace(args.N)
-    scheme = _scheme(args, args.N)
+    scheme = QuadratureScheme.default(args.N)
     rng = np.random.default_rng(_SEED)
     # per pair: real parts of (z, z'), then imaginary parts
     draws = rng.uniform(-1, 1, (20, 2, 2))
@@ -296,21 +284,17 @@ _FLAGS = {
     "--omega-c": dict(type=float, default=2.0),
     "--mass": dict(type=float, default=1.0),
     "--hbar": dict(type=float, default=1.0),
-    "--radial-nodes": dict(type=int, default=None),
-    "--angular-nodes": dict(type=int, default=None),
-    "--allow-small": dict(action="store_true"),
 }
 _LANDAU = ("--mass", "--omega0", "--omega-c", "--theta", "--hbar")
-_SCHEME = ("--radial-nodes", "--angular-nodes", "--allow-small")
 _COMMANDS = {
     "spectrum": (_cmd_spectrum, _LANDAU),
-    "husimi": (_cmd_husimi, ("--beta", *_LANDAU, "--radial-nodes", "--allow-small")),
-    "resolution": (_cmd_resolution, ("--omega", "--beta", *_SCHEME)),
+    "husimi": (_cmd_husimi, ("--beta", *_LANDAU)),
+    "resolution": (_cmd_resolution, ("--omega", "--beta")),
     "kms": (_cmd_kms, ("--omega", "--beta")),
     "modular": (_cmd_modular, ("--omega", "--beta")),
     "commutant": (_cmd_commutant, ()),
-    "wigner": (_cmd_wigner, _SCHEME),
-    "kernel": (_cmd_kernel, _SCHEME),
+    "wigner": (_cmd_wigner, ()),
+    "kernel": (_cmd_kernel, ()),
     "uncertainty": (_cmd_uncertainty, _LANDAU),
 }
 

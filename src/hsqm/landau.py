@@ -195,13 +195,18 @@ def husimi_trace_residual(p: LandauParams, beta: float, scheme: QuadratureScheme
     so the Gauss-Laguerre rule integrates the factor exactly; the density
     is radial, so each ring is evaluated once and carries the scheme's
     ring weight.  The two sector integrals multiply because the density
-    factorizes.
+    factorizes.  A beta so small that the rescaled nodes overflow raises
+    ``ValueError``.
     """
     g_plus, g_minus = _sector_gaps(p, beta)
     s = (-math.expm1(-g_plus), -math.expm1(-g_minus))
     sector_vals = []
     for which, scale in enumerate(s):
-        radii = np.sqrt(scheme.radial_nodes / scale)
+        with np.errstate(over="ignore"):
+            rescaled = scheme.radial_nodes / scale
+        if not np.all(np.isfinite(rescaled)):
+            raise ValueError(f"beta = {beta:g} is too small: the rescaled radial nodes overflow double precision")
+        radii = np.sqrt(rescaled)
         pair = (radii, 0.0) if which == 0 else (0.0, radii)
         vals = husimi(p, beta, *pair) / s[1 - which]
         sector_vals.append(float(np.sum(scheme.ring_weights / scale * vals)))

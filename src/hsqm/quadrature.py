@@ -92,20 +92,13 @@ class QuadratureScheme:
         phi = 2.0 * np.pi * np.arange(angular_count) / angular_count
         self.z_nodes = (np.sqrt(t)[:, None] * np.exp(1j * phi)[None, :]).ravel()
 
-    @staticmethod
-    def _default_sizes(n_levels: int) -> tuple[int, int]:
-        """The radial and angular counts of :meth:`default`."""
-        return 2 * n_levels, 4 * n_levels + 1
-
     @classmethod
     def default(cls, n_levels: int) -> "QuadratureScheme":
-        """2N radial and 4N+1 angular nodes: exact for overlaps of the
-        first N levels with plenty of margin."""
-        return cls(*cls._default_sizes(n_levels))
-
-    def adequate_for(self, n_levels: int) -> bool:
-        """True if the rule meets the minimum sizes for dimension N."""
-        return len(self.radial_nodes) >= 2 * n_levels and self.angular_count >= 2 * n_levels + 1
+        """2N radial and 4N+1 angular nodes, the one rule the CLI uses.
+        2N rings and 2N+1 angles integrate every overlap of the first N
+        levels exactly; the extra angles are margin, and no charge
+        aliases.  Past N = 268 the radial rule raises ``ValueError``."""
+        return cls(2 * n_levels, 4 * n_levels + 1)
 
     def _radial_stack(self, space: FockSpace) -> np.ndarray:
         """The R real radial matrices D(sqrt(t_r)), shape (R, N, N); D at

@@ -233,16 +233,6 @@ def test_invalid_config(tmp_path, capsys):
     assert code == 2  # discriminant <= 0
 
 
-def test_small_quadrature_guard(tmp_path, capsys):
-    code = cli.main(["wigner", "--N", "12", "--radial-nodes", "4", "--out", str(tmp_path / "w.csv")])
-    assert code == 2
-    # with --allow-small the run proceeds (contracts may or may not hold)
-    code2 = cli.main(
-        ["wigner", "--N", "12", "--radial-nodes", "24", "--angular-nodes", "25", "--allow-small", "--out", str(tmp_path / "w2.csv")]
-    )
-    assert code2 in (0, 1)
-
-
 def test_wigner_large_n(tmp_path):
     # the W-images of |0><0| and |1><2| are evaluated on their one-entry
     # supports, so N=64 (K = 32 896 nodes) stays cheap
@@ -356,7 +346,7 @@ def _accepted_flags(command):
 #: a second valid value of each valued flag
 _CHANGED = {
     "--format": "json", "--omega": "1.25", "--beta": "1.25", "--theta": "0.125", "--omega0": "1.25",
-    "--omega-c": "2.5", "--mass": "1.25", "--hbar": "1.25", "--radial-nodes": "17", "--angular-nodes": "31",
+    "--omega-c": "2.5", "--mass": "1.25", "--hbar": "1.25",
 }
 #: accepted but unread: the benchmark passes these flags to these subcommands,
 #: so they stay until benchmarks/workloads.py stops passing them
@@ -369,18 +359,18 @@ _PINNED = {
 }
 
 
-def _flag_change(command, flag, n, out):
+def test_accepted_flag_pairs_only_fall():
+    # the (subcommand, flag) pairs the parser accepts, --help aside: this
+    # number may only fall; lower it when a flag goes
+    assert sum(len(_accepted_flags(command)) for command in cli._COMMANDS) == 49
+
+
+def _flag_change(flag, n, out):
     """The extra argv of a base run and of the run with ``flag`` changed."""
     if flag == "--N":
         return [], ["--N", str(n + 1)]
     if flag == "--out":  # the table leaves stdout
         return [], ["--out", str(out)]
-    if flag == "--allow-small":  # 2N - 1 rings are rejected without it
-        small = ["--radial-nodes", str(2 * n - 1)]
-        return small, small + ["--allow-small"]
-    if (command, flag) == ("resolution", "--angular-nodes"):
-        # its residuals read the charges mod A, and A >= 2N - 1 aliases none
-        return ["--allow-small"], ["--allow-small", "--angular-nodes", "5"]
     return [], [flag, _CHANGED[flag]]
 
 
@@ -398,7 +388,7 @@ def test_every_accepted_flag_changes_the_run(command, tmp_path, capsys):
 
     dead = set()
     for flag in _accepted_flags(command):
-        base, changed = _flag_change(command, flag, n, tmp_path / "out.csv")
+        base, changed = _flag_change(flag, n, tmp_path / "out.csv")
         if run(base) == run(changed):
             dead.add((command, flag))
     assert dead == {pair for pair in _PINNED if pair[0] == command}

@@ -105,38 +105,6 @@ def test_generated_configuration_reports_or_rejects(command, n, values):
     _check_run(_with_flags([command, "--N", str(n)], values))
 
 
-SCHEME_COMMANDS = ("husimi", "resolution", "wigner", "kernel")
-#: husimi takes no --angular-nodes: it keeps the default 4N + 1
-ANGULAR_COMMANDS = ("resolution", "wigner", "kernel")
-
-
-@settings(max_examples=120, deadline=None)
-@given(st.sampled_from(SCHEME_COMMANDS), st.integers(4, 12), st.data(), st.booleans())
-def test_generated_scheme_reports_or_rejects(command, n, data, allow_small):
-    # --allow-small admits aliased schemes (A < 2N - 1), where charges that
-    # differ by A share a ring sum
-    radial = data.draw(st.integers(1, 3 * n), label="radial")
-    argv = [command, "--N", str(n), "--radial-nodes", str(radial)]
-    angular = 4 * n + 1
-    if command in ANGULAR_COMMANDS:
-        angular = data.draw(st.integers(1, 5 * n), label="angular")
-        argv += ["--angular-nodes", str(angular)]
-    code, result = _check_run(argv + ["--allow-small"] * allow_small)
-    if angular < 3:
-        assert code == 2 and "need at least three angular nodes" in result["error"]
-    elif not allow_small and (radial < 2 * n or angular < 2 * n + 1):
-        assert code == 2 and f"needs at least {2 * n} radial and {2 * n + 1} angular nodes" in result["error"]
-    else:
-        assert code in (0, 1)
-
-
-@pytest.mark.parametrize("command", ANGULAR_COMMANDS)
-def test_aliased_schemes_report(command):
-    for angular in (3, 4, 5, 8):  # A < 2N - 1 at N = 8, odd and even
-        code, _ = _check_run([command, "--N", "8", "--angular-nodes", str(angular), "--allow-small"])
-        assert code in (0, 1)
-
-
 def test_commutant_default_reports_contracts():
     code, doc = _check_run(["commutant"])
     assert code == 0
@@ -149,10 +117,13 @@ def test_generated_commutant_configuration_reports(n):
     assert code == 0
 
 
+#: quadrature-size flags no subcommand takes any more: the phase-plane
+#: subcommands integrate on QuadratureScheme.default(N) alone
+RETIRED = ("--radial-nodes", "--angular-nodes", "--allow-small")
 NOT_TAKEN = [
     (command, flag)
     for command, (_, own) in sorted(cli._COMMANDS.items())
-    for flag in cli._FLAGS
+    for flag in (*cli._FLAGS, *RETIRED)
     if flag not in own
 ]
 
@@ -189,8 +160,16 @@ def test_phase_plane_runs_at_n100(command):
     assert code in (0, 1)
 
 
-def test_scheme_flags_replace_the_default_rule():
-    # the default 2N = 600 rings lie past the radial rule's reach; the
-    # flag's 64 rings must be built in their place, not after them
-    code, _ = _check_run(["kernel", "--N", "300", "--radial-nodes", "64", "--allow-small"])
-    assert code in (0, 1)
+@pytest.mark.parametrize("command", ["husimi", "resolution", "wigner", "kernel"])
+def test_phase_plane_past_the_radial_rule_is_rejected(command):
+    # the default 2N = 538 rings put a node past t = 2,100, where the
+    # radial rule stops; it fails before any N^4 work
+    code, error = _check_run([command, "--N", "269"])
+    assert code == 2 and "the radial rule is limited" in error["error"]
+
+
+def test_husimi_beta_too_small_for_the_trace_residual_is_rejected():
+    # 1/(1 - e^(-beta h Omega)) rescales the radial nodes past double precision
+    for beta in ("1e-307", "1e-310"):
+        code, error = _check_run(["husimi", "--beta", beta])
+        assert code == 2 and f"beta = {beta} is too small" in error["error"]

@@ -21,6 +21,7 @@ from hsqm.landau import (
     LandauParams,
     chiral_frequencies,
     husimi,
+    husimi_trace_residual,
     partition,
     project_hol,
     reproducing_kernel,
@@ -109,6 +110,12 @@ GUARDS = {
         ValueError,
         "partition functions overflow double precision",
         lambda: partition(LandauParams(1.0, 1.0, 2.0, 0.1), 1e-310),
+    ),
+    # beta = 1e-310 passes the beta guard; the nodes rescaled by 1/(1 - e^(-beta h Omega)) overflow
+    "husimi_trace_residual-overflow": (
+        ValueError,
+        "beta = 1e-310 is too small",
+        lambda: husimi_trace_residual(LandauParams(1.0, 1.0, 2.0, 0.1), 1e-310, QuadratureScheme.default(4)),
     ),
     "AntilinearMap-shape": (
         ValueError,

@@ -1,14 +1,18 @@
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hsqm.fock import FockSpace, Operator, ThermalSpec, displacement_stack, gibbs_density
-from hsqm.hs_space import block_indices
+from hsqm.hs_space import basis_element, block_indices
+from hsqm.landau import LandauParams, husimi_trace_residual, project_hol, tensor_resolution_residual
 from hsqm.quadrature import QuadratureScheme, _laguerre_rule
-from hsqm.thermal import resolution_operator
+from hsqm.thermal import frame_operator_residual, resolution_operator, resolution_residual
 from hsqm.wigner import wigner_function, wigner_inverse
 from node_weights import node_weights
 
@@ -38,8 +42,10 @@ def test_defaults_and_adequacy():
     q = QuadratureScheme.default(10)
     assert len(q.radial_nodes) == 20
     assert q.angular_count == 41
-    assert q.adequate_for(10)
-    assert not q.adequate_for(11)
+    # the radial rule reaches the default 2N rings up to N = 268
+    assert len(QuadratureScheme.default(268).radial_nodes) == 536
+    with pytest.raises(ValueError, match="radial rule is limited"):
+        QuadratureScheme.default(269)
 
 
 def test_plane_gaussian():
@@ -172,3 +178,47 @@ def test_unitarity_residual_matches_node_sum(n, radial, angular):
     reference = abs(np.sum(node_weights(scheme) * vx.conj() * vy) - inner)
     gram = scheme._ring_gram(scheme._radial_stack(sp))
     assert abs(abs(x.mat.ravel().conj() @ gram @ y.mat.ravel() - inner) - reference) <= 1e-13
+
+
+# -- every rule the library accepts gives a finite number --------------------
+#
+# The CLI integrates on QuadratureScheme.default(N) alone; smaller and
+# aliased rules (A < 2N - 1) stay library inputs, so the calls behind each
+# phase-plane subcommand are checked on them here, warnings as errors.
+
+_PARAMS, _SPEC = LandauParams(1.0, 1.0, 2.0, 0.1), ThermalSpec(1.0, 1.0)
+SCHEME_CALLS = {
+    "husimi": lambda sp, q: [husimi_trace_residual(_PARAMS, 1.0, q)],
+    "resolution": lambda sp, q: [
+        resolution_residual(sp, _SPEC, q), frame_operator_residual(sp, _SPEC, q), tensor_resolution_residual(sp, q)
+    ],
+    "wigner": lambda sp, q: wigner_inverse(wigner_function(basis_element(sp, 1, 2)), q, sp).mat,
+    "kernel": lambda sp, q: [project_hol(lambda w: w**3, q, 0.7 - 0.3j)],
+}
+
+
+def _check_scheme(command, n, radial, angular):
+    """The calls of ``command`` on an R x A rule report finite values, or
+    the rule is rejected with a ValueError."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if angular < 3:
+            with pytest.raises(ValueError, match="need at least three angular nodes"):
+                QuadratureScheme(radial, angular)
+            return
+        values = SCHEME_CALLS[command](FockSpace(n), QuadratureScheme(radial, angular))
+    assert np.all(np.isfinite(values))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(sorted(SCHEME_CALLS)), st.integers(4, 12), st.data())
+def test_generated_scheme_reports_or_rejects(command, n, data):
+    radial = data.draw(st.integers(1, 3 * n), label="radial")
+    angular = data.draw(st.integers(1, 5 * n), label="angular")
+    _check_scheme(command, n, radial, angular)
+
+
+@pytest.mark.parametrize("command", sorted(SCHEME_CALLS))
+def test_aliased_schemes_report(command):
+    for angular in (3, 4, 5, 8):  # A < 2N - 1 at N = 8, odd and even
+        _check_scheme(command, 8, 16, angular)
