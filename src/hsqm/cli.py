@@ -213,10 +213,13 @@ def _cmd_wigner(args):
         back = wigner.wigner_inverse(wigner.wigner_function(x_op), scheme, space)
         checks.append((f"roundtrip_residual_{n}{l}", hs_norm(back - x_op), 1e-6))
 
-    # Gram matrix of the W-images of |n><l|, n, l < N/2, row-major
+    # Gram of the W-images of |n><l|, n, l < N/2, one block per charge c = n - l >= 0 (-c gives the same)
     half = args.N // 2
-    gram = scheme._ring_gram(scheme._radial_stack(FockSpace(half)))
-    checks.append(("unitarity_gram_max_dev", float(np.max(np.abs(gram - np.eye(half * half)))), 1e-6))
+    c, j = np.arange(half)[:, None], np.arange(half)
+    valid = j < half - c
+    diagonals = np.where(valid, scheme._radial_stack(FockSpace(half))[:, np.minimum(j + c, half - 1), j], 0.0)
+    gram = (diagonals.transpose(1, 2, 0) * scheme.ring_weights) @ diagonals.transpose(1, 0, 2)
+    checks.append(("unitarity_gram_max_dev", float(np.max(np.abs(gram - valid[:, :, None] * np.eye(half)))), 1e-6))
     block, contracts = _named_checks(checks)
     return [grid_block, block], contracts
 

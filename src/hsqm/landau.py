@@ -31,8 +31,8 @@ import numpy as np
 
 from .fock import FockSpace, Operator, annihilation
 from .hs_space import _block_levels
-from .quadrature import QuadratureScheme
-from .thermal import _column_block_norm
+from .quadrature import QuadratureScheme, _charge_classes
+from .thermal import _largest_norm
 
 __all__ = [
     "LandauParams",
@@ -323,12 +323,14 @@ def tensor_resolution_residual(space: FockSpace, scheme: QuadratureScheme) -> fl
     """Deviation of the two-sector resolution from the identity on the
     block of states with all four indices <= N/4.
 
-    Each sector resolves as the sandwich X -> P X P of the classical frame
-    P, dense form kron(P, P) (P is real), whose block columns are the
-    krons of P's block columns.  The sector deviations are combined into
-    the exact triangle bound r+ (1 + r-) + r-, at every N."""
-    keep = _block_levels(space)
-    p = classical_frame(space, scheme)[:, keep]
-    e = np.eye(space.dim)[:, keep]
-    r = _column_block_norm(np.kron(p, p) - np.kron(e, e))
+    Each sector resolves as X -> P X P, dense form kron(P, P), with P the
+    real classical frame, block-diagonal over the level classes mod A (the
+    charges of the entries (n, 0) of an N x 1 matrix); its deviation r is the
+    largest over pairs of classes (|f_a f_b - 1|, f = diag(P), on the default
+    rule).  The sectors combine into the exact bound r+ (1 + r-) + r-, at every N."""
+    rows, cols, _ = _charge_classes(scheme.angular_count, (space.dim, 1), tuple(_block_levels(space).tolist()))
+    rows, cols, valid = rows[:, :, None], cols[:, None, :], (rows[:, :, None] >= 0) & (cols[:, None, :] >= 0)
+    p, e = np.where(valid, classical_frame(space, scheme)[rows, cols], 0.0), valid & (rows == cols)
+    deviation = np.einsum("ipq,jrs->ijprqs", p, p) - np.einsum("ipq,jrs->ijprqs", e, e)
+    r = _largest_norm(deviation.reshape(len(p), len(p), rows.shape[1] ** 2, -1))
     return r * (1.0 + r) + r

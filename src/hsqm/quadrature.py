@@ -41,7 +41,8 @@ import numbers
 
 import numpy as np
 
-from .fock import _T_MAX, FockSpace, _coherent_columns, _laguerre_functions, _step_coefficients, displacement_stack
+from .fock import _T_MAX, FockSpace, _closed_form_support, _coherent_columns, _laguerre_functions, _read_only
+from .fock import _step_coefficients, displacement_stack
 
 __all__ = ["QuadratureScheme"]
 
@@ -71,13 +72,35 @@ def _laguerre_rule(radial_count: int) -> tuple[np.ndarray, np.ndarray]:
     return t, ring
 
 
+@functools.lru_cache(maxsize=16)
+def _charge_classes(count: int, shape: tuple[int, int], cols: tuple[int, ...]) -> tuple:
+    """The entries m*M + n of an N x M matrix in the charge classes (m - n mod
+    ``count``) of the entries ``cols``, a row per class, ``cols`` first, then
+    ascending; ``cols`` alike; -1 pads both; and the rows' closed-form support."""
+    size, cols = shape[0] * shape[1], np.array(cols)
+    residue = np.subtract.outer(np.arange(shape[0]), np.arange(shape[1])).ravel() % count
+    carried, later = np.zeros(count, int), np.ones(size, int)
+    carried[residue[cols]], later[cols] = 1, 0
+    items = np.flatnonzero(carried[residue])
+    key = np.sort(((np.cumsum(carried) - 1)[residue[items]] * 2 + later[items]) * size + items)
+    which, items = key // (2 * size), key % size
+    place = np.arange(items.size) - np.searchsorted(which, which)
+    rows = np.full((which[-1] + 1, place.max() + 1), -1)
+    rows[which, place] = items
+    inside = (rows >= 0) & (later[rows] == 0)
+    columns = np.where(inside, rows, -1)[:, : inside.sum(axis=1).max()]
+    for table in (rows, columns):
+        table.setflags(write=False)
+    return rows, columns, _read_only(_closed_form_support(*np.divmod(rows[rows >= 0], shape[1]), shape[0]))
+
+
 class QuadratureScheme:
     """Product rule over the phase plane: R rings of A uniform angles,
     integer sizes.  sum_r ring_weights[r] (2pi/A) sum_a f(z_(r,a))
     approximates  integral f dx dy  (= 2 * integral f d^2 z); ``z_nodes``
     lists the K = R * A nodes ring by ring, for black-box integrands."""
 
-    __slots__ = ("radial_nodes", "ring_weights", "angular_count", "z_nodes")
+    __slots__ = ("radial_nodes", "ring_weights", "angular_count", "z_nodes", "_stack")
 
     def __init__(self, radial_count: int, angular_count: int):
         if not all(isinstance(count, numbers.Integral) for count in (radial_count, angular_count)):
@@ -91,6 +114,7 @@ class QuadratureScheme:
         self.angular_count = int(angular_count)
         phi = 2.0 * np.pi * np.arange(angular_count) / angular_count
         self.z_nodes = (np.sqrt(t)[:, None] * np.exp(1j * phi)[None, :]).ravel()
+        self._stack = None
 
     @classmethod
     def default(cls, n_levels: int) -> "QuadratureScheme":
@@ -102,27 +126,29 @@ class QuadratureScheme:
 
     def _radial_stack(self, space: FockSpace) -> np.ndarray:
         """The R real radial matrices D(sqrt(t_r)), shape (R, N, N); D at
-        sqrt(t_r) e^(i phi) scales entry mn by e^(i(m-n) phi), at -sqrt(t_r) by (-1)^(m-n)."""
-        return displacement_stack(space, np.sqrt(self.radial_nodes)).real
+        sqrt(t_r) e^(i phi) scales entry mn by e^(i(m-n) phi), at -sqrt(t_r) by (-1)^(m-n).
+        Kept read-only: a smaller space reads the top-left block, the same entries."""
+        if self._stack is None or self._stack.shape[1] < space.dim:
+            self._stack = displacement_stack(space, np.sqrt(self.radial_nodes)).real
+            self._stack.setflags(write=False)
+        return self._stack[:, : space.dim, : space.dim]
 
     def _radial_column(self, space: FockSpace) -> np.ndarray:
         """Column 0 of the radial matrices, <n|sqrt(t_r)>, shape (R, N): R * N entries."""
         return _coherent_columns(space.dim, np.sqrt(self.radial_nodes)).real
 
-    def _ring_gram(self, mats: np.ndarray, columns: np.ndarray | slice = slice(None)) -> np.ndarray:
+    def _ring_gram(self, mats: np.ndarray) -> np.ndarray:
         """The node sum (1/2pi) integral vec(M) vec(M)^† dx dy, where
         M = e^(i(m-n) phi_a) mats[r] at node (r, a) and (m, n) indexes the
         last two axes of ``mats`` (shape (R, M, M')).
 
         Only pairs of entries whose charges m - n agree mod A survive the
-        angular sum.  Real, shape (M*M', M*M'), or (M*M', C) for C ``columns``.
+        angular sum.  Real, shape (M*M', M*M').
         """
-        count = self.angular_count
         rings, rows, cols = mats.shape
-        charge = np.subtract.outer(np.arange(rows), np.arange(cols)).ravel() % count
+        charge = np.subtract.outer(np.arange(rows), np.arange(cols)).ravel() % self.angular_count
         vecs = mats.reshape(rings, rows * cols)
-        gram = (vecs.T * self.ring_weights) @ vecs[:, columns]
-        return np.where(charge[:, None] == charge[columns], gram, 0.0)
+        return np.where(charge[:, None] == charge, (vecs.T * self.ring_weights) @ vecs, 0.0)
 
     def xy_nodes(self) -> tuple[np.ndarray, np.ndarray]:
         """Cartesian nodes under the z = (y - ix)/sqrt(2) convention."""

@@ -15,11 +15,10 @@ density itself.  Both residuals are exposed: the deviation from the
 identity (large, by the above) and the deviation from the Gibbs-weighted
 frame operator (truncation-level small).
 
-Assembly is block-sparse by charge: on the polar quadrature nodes the
+Assembly is block-diagonal by charge: on the polar quadrature nodes the
 family is R radial states times a phase e^(i(m-n) phi), and the angular
-sum keeps only entries whose charges m - n agree mod A.  Every residual
-assembles only the M columns of the one block of levels <= N/4, one
-(N^2 x R) @ (R x M) real product, not a sum over all K = R * A nodes.
+sum keeps only entries whose charges m - n agree mod A, so each residual
+is one small real product per charge class, on the levels <= N/4 alone.
 
 The Tomita map of the thermal state reflects the family through the
 origin: S(|z>) = |-z>, exactly, since D(z)† = D(-z).  The mirrored
@@ -35,10 +34,10 @@ import math
 
 import numpy as np
 
-from .fock import FockSpace, Operator, ThermalSpec, _gibbs_weights, displacement_stack
+from .fock import FockSpace, Operator, ThermalSpec, _closed_form_entries, _gibbs_weights, displacement_stack
 from .hs_space import block_indices, hs_norm
 from .modular import ModularData, tomita_s
-from .quadrature import QuadratureScheme
+from .quadrature import QuadratureScheme, _charge_classes
 
 __all__ = [
     "safe_radius",
@@ -76,44 +75,44 @@ def _displaced_purifications(space: FockSpace, spec: ThermalSpec, zs: list[compl
     return _safe_displacements(space, zs) * np.sqrt(_gibbs_weights(space, spec))
 
 
-def resolution_operator(
-    space: FockSpace, spec: ThermalSpec, scheme: QuadratureScheme
-) -> np.ndarray:
-    """Columns ``block_indices(space)`` (levels <= N/4) of the quadrature
-    assembly of (1/2pi) * integral |z><z| dx dy as a superoperator on
-    B2(H_N): a real N^2 x M array acting on row-major vectorized X.
+def resolution_operator(space: FockSpace, spec: ThermalSpec, scheme: QuadratureScheme) -> tuple[np.ndarray, ...]:
+    """The block columns ``block_indices(space)`` (levels <= N/4) of the
+    assembly G of (1/2pi) * integral |z><z| dx dy on B2(H_N), one block per
+    charge class mod A, as ``(blocks, rows, columns)``.
 
-    Assembled from the R radial states D(sqrt(t_r)) Phi_beta, not the
-    K = R * A node states: the angular sum keeps only entries whose
-    charges m - n agree mod A (see :mod:`hsqm.quadrature`).  The radial
-    states are real, so the columns are real too.  The reflected family
-    |-z> assembles to S G S, with S the charge sign (-1)^(m-n) on rows
-    and columns.
+    Class i has the row-major indices m*N + n ``rows[i]``, its block
+    columns ``columns[i]`` first, both padded with -1, and ``blocks[i]`` =
+    G[rows[i], columns[i]], real and 0 at padding; every other entry of the
+    block columns is 0.  On the default rule class c has N - |c| rows and
+    N/4 + 1 - |c| columns; aliased rules stack the charges of a class.  The
+    entries come from the closed form on the rows alone.  The reflected
+    family |-z> assembles to S G S, S = (-1)^(m-n).
     """
-    sqrt_lam = np.sqrt(_gibbs_weights(space, spec))
-    states = scheme._radial_stack(space) * sqrt_lam  # D(sqrt(t_r)) @ diag(sqrt(lambda))
-    return scheme._ring_gram(states, block_indices(space))
+    n = space.dim
+    rows, columns, support = _charge_classes(scheme.angular_count, (n, n), tuple(block_indices(space).tolist()))
+    entries = _closed_form_entries(np.sqrt(scheme.radial_nodes) + 0j, support).real.T
+    states = np.zeros((*rows.shape, entries.shape[1]))  # after the closed form, whose temporaries peak higher
+    states[rows >= 0] = entries
+    states *= np.sqrt(_gibbs_weights(space, spec))[rows % n, None]  # D(sqrt(t_r)) @ diag(sqrt(lambda))
+    ring = scheme.ring_weights * (columns >= 0)[:, :, None]
+    return states @ (states[:, : columns.shape[1]] * ring).transpose(0, 2, 1), rows, columns
 
 
-def _column_block_norm(block: np.ndarray) -> float:
-    """Operator 2-norm of a real column block D, sqrt(lambda_max(D^T D)) from its small Gram."""
-    return math.sqrt(max(np.linalg.eigvalsh(block.T @ block)[-1], 0.0))
+def _largest_norm(blocks: np.ndarray) -> float:
+    """Largest 2-norm in a stack of real column blocks (..., P, Q), from their Q x Q Grams."""
+    return math.sqrt(max(np.linalg.eigvalsh(np.swapaxes(blocks, -1, -2) @ blocks)[..., -1].max(), 0.0))
 
 
 def _right_weight_deviation(
-    space: FockSpace,
-    spec: ThermalSpec,
-    scheme: QuadratureScheme,
-    weights: np.ndarray,
+    space: FockSpace, spec: ThermalSpec, scheme: QuadratureScheme, weights: np.ndarray
 ) -> float:
     """Operator-norm distance between the assembled family and right
-    multiplication by diag(weights) (dense form kron(I, diag(weights))),
-    on levels <= N/4, from the M x M Gram D^T D."""
-    cols = block_indices(space)
-    deviation = resolution_operator(space, spec, scheme)
-    # the reference is diagonal: entry n*N + l carries weights[l]
-    deviation[cols, np.arange(cols.size)] -= weights[cols % space.dim]
-    return _column_block_norm(deviation)
+    multiplication by diag(weights) (dense form kron(I, diag(weights)), with
+    weights[l] on entry m*N + l), on levels <= N/4: the largest over the classes."""
+    deviation, _, columns = resolution_operator(space, spec, scheme)
+    diag = np.arange(columns.shape[1])
+    deviation[:, diag, diag] -= np.where(columns >= 0, weights[columns % space.dim], 0.0)
+    return _largest_norm(deviation)
 
 
 def resolution_residual(

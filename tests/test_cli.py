@@ -3,13 +3,14 @@ import csv
 import io
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hsqm import cli
+from hsqm import cli, quadrature, thermal
 from hsqm.fock import FockSpace
 from hsqm.landau import classical_frame
 from hsqm.quadrature import QuadratureScheme
@@ -208,20 +209,54 @@ def test_resolution_triangle_bound_at_n8(tmp_path):
     assert exact <= value * (1.0 + 1e-14)
 
 
-def test_resolution_builds_two_radial_stacks(tmp_path, monkeypatch):
-    # one stack per residual: the mirror's rows come from the family's
-    # residuals, so the stack is not built again for |-z>
-    calls = []
-    build = QuadratureScheme._radial_stack
+def _count_stacks(monkeypatch):
+    """Dims of every radial stack the scheme builds, and of every displacement stack."""
+    calls = {"radial": [], "displacement": []}
+    radial, displacement = QuadratureScheme._radial_stack, quadrature.displacement_stack
 
-    def counted(self, space):
-        calls.append(space.dim)
-        return build(self, space)
+    def counted_radial(self, space):
+        calls["radial"].append(space.dim)
+        return radial(self, space)
 
-    monkeypatch.setattr(QuadratureScheme, "_radial_stack", counted)
+    def counted_displacement(space, alphas):
+        calls["displacement"].append(space.dim)
+        return displacement(space, alphas)
+
+    monkeypatch.setattr(QuadratureScheme, "_radial_stack", counted_radial)
+    monkeypatch.setattr(quadrature, "displacement_stack", counted_displacement)
+    monkeypatch.setattr(thermal, "displacement_stack", counted_displacement)
+    return calls
+
+
+def test_resolution_builds_no_stack(tmp_path, monkeypatch):
+    # the residuals take the closed form on the rows of their charge
+    # classes alone: no radial stack, no displacement stack
+    calls = _count_stacks(monkeypatch)
     code, _ = _run(tmp_path, ["resolution", "--N", "8"])
     assert code == 1
-    assert 1 <= len(calls) <= 2
+    assert calls == {"radial": [], "displacement": []}
+
+
+def test_wigner_builds_one_stack(tmp_path, monkeypatch):
+    # both round trips and the N/2 unitarity Gram read the scheme's one stack
+    calls = _count_stacks(monkeypatch)
+    code, _ = _run(tmp_path, ["wigner", "--N", "16"])
+    assert code == 0
+    assert calls == {"radial": [16, 16, 8], "displacement": [16]}
+
+
+@pytest.mark.parametrize("command, limit", [("resolution", 64e6), ("wigner", 260e6)])
+def test_phase_plane_memory_at_n128(command, limit, tmp_path):
+    # tracemalloc peaks at N = 128: 57.6 MB (resolution) and 199 MB
+    # (wigner) measured.  An N^2-row block of the thermal frame, or the
+    # (N/2)^2 x (N/2)^2 unitarity Gram (134 MB alone), crosses the limit
+    tracemalloc.start()
+    try:
+        _run(tmp_path, [command, "--N", "128"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < limit
 
 
 def test_invalid_config(tmp_path, capsys):

@@ -13,7 +13,7 @@ import csv
 import numpy as np
 import pytest
 
-from hsqm import cli, commutant, hs_space, modular, quadrature
+from hsqm import cli, commutant, hs_space, modular, quadrature, thermal
 from flow_rotation import SPECS, TOL, flow_rotation_deviation
 from known_red import known_red_excess
 
@@ -21,6 +21,7 @@ _FROM_THERMAL = modular.ModularData.from_thermal
 _LAGUERRE_RULE = quadrature._laguerre_rule
 _RHO_POWER = modular.ModularData.rho_power
 _DELTA_POWER = modular.delta_power
+_RESOLUTION_OPERATOR = thermal.resolution_operator
 
 
 def _energies_scaled(space, spec):
@@ -52,6 +53,14 @@ def _delta_exponent_scaled(md, s):
     return _DELTA_POWER(md, 1.01 * s)
 
 
+def _layout_column_major(space, spec, scheme):
+    # the charge-class layout read column-major, n*N + m: the blocks keep
+    # their entries, but each reference weight is read at charge -c
+    blocks, rows, columns = _RESOLUTION_OPERATOR(space, spec, scheme)
+    n = space.dim
+    return blocks, *(np.where(index >= 0, index % n * n + index // n, -1) for index in (rows, columns))
+
+
 def _image_rank_no_cutoff(alg, phi):
     # every singular value above 0 counts, rounding noise included
     cols = np.column_stack([g @ np.asarray(phi, dtype=complex) for g in alg.basis])
@@ -71,6 +80,8 @@ MUTANTS = [
      ["husimi", "--N", "16"], ["husimi_trace_residual"]),
     ("resolution-ring0-weight-x1.01", quadrature, "_laguerre_rule", _ring0_weight_scaled,
      ["resolution", "--N", "16"], ["hiho_frame_residual", "xaxa_frame_residual", "resolv_residual"]),
+    ("resolution-layout-column-major", thermal, "resolution_operator", _layout_column_major,
+     ["resolution", "--N", "16"], ["hiho_frame_residual", "xaxa_frame_residual"]),
     ("polar-delta-exponent-x1.01", modular, "delta_power", _delta_exponent_scaled,
      ["modular", "--N", "16"], ["polar_residual"]),
     ("commutant-image-rank-no-cutoff", commutant, "_image_rank", _image_rank_no_cutoff,

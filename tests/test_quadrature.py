@@ -12,8 +12,9 @@ from hsqm.fock import FockSpace, Operator, ThermalSpec, displacement_stack, gibb
 from hsqm.hs_space import basis_element, block_indices
 from hsqm.landau import LandauParams, husimi_trace_residual, project_hol, tensor_resolution_residual
 from hsqm.quadrature import QuadratureScheme, _laguerre_rule
-from hsqm.thermal import frame_operator_residual, resolution_operator, resolution_residual
+from hsqm.thermal import frame_operator_residual, resolution_residual
 from hsqm.wigner import wigner_function, wigner_inverse
+from block_oracle import dense_block
 from node_weights import node_weights
 
 
@@ -98,11 +99,23 @@ def test_xy_convention():
     assert np.allclose(z, q.z_nodes)
 
 
+def test_radial_stack_is_kept_and_read_by_smaller_spaces():
+    # each entry is the untruncated matrix element, so the top-left block
+    # of the kept stack is the stack a smaller space builds, to the bit
+    scheme = QuadratureScheme.default(16)
+    kept = scheme._radial_stack(FockSpace(16))
+    assert not kept.flags.writeable
+    for n in (2, 5, 8, 16):
+        block = scheme._radial_stack(FockSpace(n))
+        assert np.shares_memory(block, kept)
+        assert np.array_equal(block, QuadratureScheme.default(16)._radial_stack(FockSpace(n)))
+
+
 # -- polar path against brute force ------------------------------------------
 #
 # _ring_gram (the full frame, an oracle for resolution_operator's block
-# columns, and the Gram of the Wigner images that the unitarity contract
-# reads) and wigner_inverse build their node sums from R radial matrices and the mod-A charge rule; the
+# columns and for the per-charge Gram of the Wigner images that the
+# unitarity contract reads) and wigner_inverse build their node sums from R radial matrices and the mod-A charge rule; the
 # references below sum over all K = R*A node matrices directly.  Aliased
 # schemes (A < 2N - 1) with odd and even A exercise charges that differ
 # by A, and the mirror sign (-1)^(c - c') at c - c' = +-A.
@@ -143,7 +156,7 @@ def test_resolution_operator_matches_node_sum(n, radial, angular, mirrored):
     got = sign[:, None] * scheme._ring_gram(scheme._radial_stack(sp) * sqrt_lam) * sign
     assert np.max(np.abs(got - reference)) <= 1e-13
     cols = block_indices(sp)
-    block = sign[:, None] * resolution_operator(sp, spec, scheme) * sign[cols]
+    block = sign[:, None] * dense_block(sp, spec, scheme) * sign[cols]
     assert np.max(np.abs(block - reference[:, cols])) <= 1e-13
 
 

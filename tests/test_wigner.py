@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hsqm import cli
 from hsqm.fock import (
     FockSpace,
     Operator,
@@ -182,6 +184,21 @@ def test_unitarity_residuals():
     assert _unitarity_residual(24, scheme, (0, 0), (0, 0)) <= 1e-8
     assert _unitarity_residual(24, scheme, (0, 1), (1, 0)) <= 1e-8
     assert _unitarity_residual(32, QuadratureScheme.default(32), (5, 5), (5, 5)) <= 1e-6
+
+
+@pytest.mark.parametrize("n", [6, 10, 16, 24])
+def test_unitarity_row_matches_full_gram(n, tmp_path):
+    # hsqm wigner checks the N/2 Gram one charge at a time; the full ring
+    # Gram is the oracle.  An entry is one R-term sum with positive ring
+    # weights, so two summation orders differ by at most R eps max diag(G)
+    out = tmp_path / "out.csv"
+    assert cli.main(["wigner", "--N", str(n), "--out", str(out)]) == 0
+    rows = csv.DictReader(out.read_text().splitlines())
+    printed = next(float(r["value"]) for r in rows if r["name"] == "unitarity_gram_max_dev")
+    scheme = QuadratureScheme.default(n)
+    gram = scheme._ring_gram(scheme._radial_stack(FockSpace(n // 2)))
+    full = np.max(np.abs(gram - np.eye((n // 2) ** 2)))
+    assert abs(printed - full) <= len(scheme.radial_nodes) * np.finfo(float).eps * np.max(np.diag(gram))
 
 
 def test_lifted_expansion_coefficients():
