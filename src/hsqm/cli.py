@@ -11,8 +11,8 @@ configuration: fixed seeds, fixed summation orders, no timestamps.
 A subcommand accepts --N, --format, --out and the flags of its ``_COMMANDS``
 entry only, so the JSON ``config`` echoes the settings of that run.  The
 phase-plane subcommands (husimi, resolution, wigner, kernel) integrate on
-``QuadratureScheme.default(N)``, exact for their integrands; no flag
-changes the rule, and N > 268, past the radial rule's reach, exits 2.
+``QuadratureScheme(N)``, exact for their integrands; no flag changes the
+rule, and N > 268, past the radial rule's reach, exits 2.
 """
 
 from __future__ import annotations
@@ -78,7 +78,7 @@ def _cmd_husimi(args):
     x, y = np.meshgrid(grid, grid, indexing="ij")
     q = landau.husimi(params, args.beta, x + 1j * y, 0.0).ravel().tolist()
     contracts = []
-    scheme = QuadratureScheme.default(args.N)
+    scheme = QuadratureScheme(args.N)
     _check(contracts, "husimi_trace_residual", landau.husimi_trace_residual(params, args.beta, scheme), 1e-10)
     _check(contracts, "husimi_negativity", max(0.0, -min(q)), 0.0)
     z_plus, z_minus = landau.partition(params, args.beta)
@@ -89,7 +89,7 @@ def _cmd_husimi(args):
 def _cmd_resolution(args):
     space = FockSpace(args.N)
     spec = ThermalSpec(args.omega, args.beta)
-    scheme = QuadratureScheme.default(args.N)
+    scheme = QuadratureScheme(args.N)
     checks = []
     ident = thermal.resolution_residual(space, spec, scheme)
     frame = thermal.frame_operator_residual(space, spec, scheme)
@@ -198,7 +198,7 @@ def _cmd_commutant(args):
 
 def _cmd_wigner(args):
     space = FockSpace(args.N)
-    scheme = QuadratureScheme.default(args.N)
+    scheme = QuadratureScheme(args.N)
 
     grid = np.linspace(-3.0, 3.0, 21)
     x, y = np.meshgrid(grid, grid, indexing="ij")
@@ -215,10 +215,9 @@ def _cmd_wigner(args):
 
     # Gram of the W-images of |n><l|, n, l < N/2, one block per charge c = n - l >= 0 (-c gives the same)
     half = args.N // 2
-    c, j = np.arange(half)[:, None], np.arange(half)
-    valid = j < half - c
-    diagonals = np.where(valid, scheme._radial_stack(FockSpace(half))[:, np.minimum(j + c, half - 1), j], 0.0)
-    gram = (diagonals.transpose(1, 2, 0) * scheme.ring_weights) @ diagonals.transpose(1, 0, 2)
+    valid = np.arange(half) < half - np.arange(half)[:, None]
+    diagonals = scheme._charge_diagonals(FockSpace(half), half)
+    gram = (diagonals * scheme.ring_weights) @ diagonals.transpose(0, 2, 1)
     checks.append(("unitarity_gram_max_dev", float(np.max(np.abs(gram - valid[:, :, None] * np.eye(half)))), 1e-6))
     block, contracts = _named_checks(checks)
     return [grid_block, block], contracts
@@ -226,7 +225,7 @@ def _cmd_wigner(args):
 
 def _cmd_kernel(args):
     space = FockSpace(args.N)
-    scheme = QuadratureScheme.default(args.N)
+    scheme = QuadratureScheme(args.N)
     rng = np.random.default_rng(_SEED)
     # per pair: real parts of (z, z'), then imaginary parts
     draws = rng.uniform(-1, 1, (20, 2, 2))

@@ -25,7 +25,6 @@ __all__ = [
     "hs_norm",
     "basis_element",
     "vee",
-    "block_indices",
 ]
 
 
@@ -46,12 +45,6 @@ def basis_element(space: FockSpace, n: int, l: int) -> Operator:
 def _block_levels(space: FockSpace) -> np.ndarray:
     """The levels 0..N/4, where every resolution contract is checked."""
     return np.arange(space.dim // 4 + 1)
-
-
-def block_indices(space: FockSpace) -> np.ndarray:
-    """Row-major indices n*N + l of the |n><l| with n, l <= N/4."""
-    keep = _block_levels(space)
-    return (keep[:, None] * space.dim + keep[None, :]).ravel()
 
 
 class SuperOp:

@@ -10,16 +10,16 @@ tensor product of two quantum (Hilbert-Schmidt) spaces with basis
 Provided here: the dressed frequencies and spectrum, the thermal Husimi
 distribution and partition functions, the lowest-level reproducing
 kernel e^(z conj(z')), holomorphic projection, the position / momentum
-uncertainty table of the right-action quadratures, and the sector
-resolution X -> P X P of the classical frame P.
+uncertainty table of the right-action quadratures, and the residual of
+the sector resolution X -> P X P of the classical frame P.
 
 Conventions: hbar is explicit in the dynamical quantities.
 
 Every coherent vector <n|z> = e^(-|z|^2/2) z^n / sqrt(n!) is column 0 of
 the closed-form D(z), computed on that column alone, and every
 phase-plane frame is summed ring by ring through the polar identity of
-:mod:`hsqm.quadrature` (R real radial vectors and the mod-A charge rule),
-not over the K = R * A nodes; the frames come out real.
+:mod:`hsqm.quadrature` (R real radial vectors, entries of equal charge
+only), not over the K = R * A nodes; the frames come out real.
 """
 
 from __future__ import annotations
@@ -29,10 +29,9 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from . import hs_space
 from .fock import FockSpace, Operator, annihilation
-from .hs_space import _block_levels
-from .quadrature import QuadratureScheme, _charge_classes
-from .thermal import _largest_norm
+from .quadrature import QuadratureScheme
 
 __all__ = [
     "LandauParams",
@@ -45,7 +44,6 @@ __all__ = [
     "reproducing_kernel",
     "project_hol",
     "uncertainty_report",
-    "classical_frame",
     "tensor_resolution_residual",
 ]
 
@@ -163,12 +161,15 @@ def husimi(
     equivalently the product of two oscillator Husimi distributions with
     mean occupations n_± = 1/(e^(b h O_±) - 1).  z_plus and z_minus may be
     arrays; the result broadcasts over them.  Non-finite labels raise
-    ``ValueError``."""
+    ``ValueError``, and so does a beta so small that the prefactor s+ s-
+    (each s about b h O) falls below the smallest normal double."""
     if not (np.isfinite(z_plus).all() and np.isfinite(z_minus).all()):
         raise ValueError("coherent labels must be finite")
     g_plus, g_minus = _sector_gaps(p, beta)
     s_plus = -math.expm1(-g_plus)
     s_minus = -math.expm1(-g_minus)
+    if s_plus * s_minus < np.finfo(float).tiny:
+        raise ValueError(f"beta = {beta:g} is too small: the Husimi prefactor s+ s- underflows double precision")
     return (
         s_plus
         * np.exp(-s_plus * np.abs(z_plus) ** 2)
@@ -310,27 +311,16 @@ def uncertainty_report(p: LandauParams, state: Operator) -> dict:
 # -- coherent-state completeness on the quantum space ---------------------
 
 
-def classical_frame(space: FockSpace, scheme: QuadratureScheme) -> np.ndarray:
-    """(1/2 pi) integral |z><z| dx dy over normalized coherent vectors of
-    the configuration space; the identity up to truncation tails.
-
-    <n|z> is column 0 of D(z), so the frame is the ring Gram of the
-    radial columns: real, and nonzero only where n = m (mod A)."""
-    return scheme._ring_gram(scheme._radial_column(space)[:, :, None])
-
-
 def tensor_resolution_residual(space: FockSpace, scheme: QuadratureScheme) -> float:
     """Deviation of the two-sector resolution from the identity on the
     block of states with all four indices <= N/4.
 
     Each sector resolves as X -> P X P, dense form kron(P, P), with P the
-    real classical frame, block-diagonal over the level classes mod A (the
-    charges of the entries (n, 0) of an N x 1 matrix); its deviation r is the
-    largest over pairs of classes (|f_a f_b - 1|, f = diag(P), on the default
-    rule).  The sectors combine into the exact bound r+ (1 + r-) + r-, at every N."""
-    rows, cols, _ = _charge_classes(scheme.angular_count, (space.dim, 1), tuple(_block_levels(space).tolist()))
-    rows, cols, valid = rows[:, :, None], cols[:, None, :], (rows[:, :, None] >= 0) & (cols[:, None, :] >= 0)
-    p, e = np.where(valid, classical_frame(space, scheme)[rows, cols], 0.0), valid & (rows == cols)
-    deviation = np.einsum("ipq,jrs->ijprqs", p, p) - np.einsum("ipq,jrs->ijprqs", e, e)
-    r = _largest_norm(deviation.reshape(len(p), len(p), rows.shape[1] ** 2, -1))
+    real classical frame, diagonal (the angular sum keeps equal charges
+    only), so its deviation r is max |f_a f_b - 1| over a, b <= N/4, with
+    f = diag(P) from the ring Gram of the radial columns.  The sectors
+    combine into the exact bound r+ (1 + r-) + r-, at every N."""
+    column = scheme._radial_column(space)
+    f = np.diagonal((column.T * scheme.ring_weights) @ column)[hs_space._block_levels(space)]
+    r = float(np.max(np.abs(np.multiply.outer(f, f) - 1.0)))
     return r * (1.0 + r) + r

@@ -17,8 +17,8 @@ frame operator (truncation-level small).
 
 Assembly is block-diagonal by charge: on the polar quadrature nodes the
 family is R radial states times a phase e^(i(m-n) phi), and the angular
-sum keeps only entries whose charges m - n agree mod A, so each residual
-is one small real product per charge class, on the levels <= N/4 alone.
+sum keeps only entries of equal charge m - n, so each residual is one
+small real product per charge diagonal, on the levels <= N/4 alone.
 
 The Tomita map of the thermal state reflects the family through the
 origin: S(|z>) = |-z>, exactly, since D(z)† = D(-z).  The mirrored
@@ -34,10 +34,11 @@ import math
 
 import numpy as np
 
-from .fock import FockSpace, Operator, ThermalSpec, _closed_form_entries, _gibbs_weights, displacement_stack
-from .hs_space import block_indices, hs_norm
+from . import hs_space
+from .fock import FockSpace, Operator, ThermalSpec, _gibbs_weights, displacement_stack
+from .hs_space import hs_norm
 from .modular import ModularData, tomita_s
-from .quadrature import QuadratureScheme, _charge_classes
+from .quadrature import QuadratureScheme
 
 __all__ = [
     "safe_radius",
@@ -76,26 +77,21 @@ def _displaced_purifications(space: FockSpace, spec: ThermalSpec, zs: list[compl
 
 
 def resolution_operator(space: FockSpace, spec: ThermalSpec, scheme: QuadratureScheme) -> tuple[np.ndarray, ...]:
-    """The block columns ``block_indices(space)`` (levels <= N/4) of the
-    assembly G of (1/2pi) * integral |z><z| dx dy on B2(H_N), one block per
-    charge class mod A, as ``(blocks, rows, columns)``.
-
-    Class i has the row-major indices m*N + n ``rows[i]``, its block
-    columns ``columns[i]`` first, both padded with -1, and ``blocks[i]`` =
-    G[rows[i], columns[i]], real and 0 at padding; every other entry of the
-    block columns is 0.  On the default rule class c has N - |c| rows and
-    N/4 + 1 - |c| columns; aliased rules stack the charges of a class.  The
-    entries come from the closed form on the rows alone.  The reflected
-    family |-z> assembles to S G S, S = (-1)^(m-n).
+    """The block columns (levels <= N/4) of the assembly G of
+    (1/2pi) * integral |z><z| dx dy on B2(H_N), as ``(blocks, charges)``:
+    block i is G on the diagonal m - n = c = charges[i], row p the entry with
+    min(m, n) = p < N - |c|, column j the block entry with min(m, n) = j
+    <= N/4 - |c|, real and 0 past those; every other entry is 0.  The
+    reflected family |-z> assembles to S G S, S = (-1)^(m-n).
     """
-    n = space.dim
-    rows, columns, support = _charge_classes(scheme.angular_count, (n, n), tuple(block_indices(space).tolist()))
-    entries = _closed_form_entries(np.sqrt(scheme.radial_nodes) + 0j, support).real.T
-    states = np.zeros((*rows.shape, entries.shape[1]))  # after the closed form, whose temporaries peak higher
-    states[rows >= 0] = entries
-    states *= np.sqrt(_gibbs_weights(space, spec))[rows % n, None]  # D(sqrt(t_r)) @ diag(sqrt(lambda))
-    ring = scheme.ring_weights * (columns >= 0)[:, :, None]
-    return states @ (states[:, : columns.shape[1]] * ring).transpose(0, 2, 1), rows, columns
+    n, levels = space.dim, hs_space._block_levels(space)
+    charges = np.concatenate([levels, -levels[:0:-1]])
+    kets = np.arange(n) + np.maximum(-charges, 0)[:, None]  # level n of the entry |m><n| on row p
+    # real magnitudes: the sign (-1)^c of c < 0 cancels in G; D(sqrt(t_r)) @ diag(sqrt(lambda))
+    states = scheme._charge_diagonals(space, levels.size)[np.abs(charges)]
+    states *= np.sqrt(_gibbs_weights(space, spec))[kets % n, None]
+    ring = scheme.ring_weights * (levels < levels.size - np.abs(charges)[:, None])[:, :, None]
+    return states @ (states[:, : levels.size] * ring).transpose(0, 2, 1), charges
 
 
 def _largest_norm(blocks: np.ndarray) -> float:
@@ -108,10 +104,11 @@ def _right_weight_deviation(
 ) -> float:
     """Operator-norm distance between the assembled family and right
     multiplication by diag(weights) (dense form kron(I, diag(weights)), with
-    weights[l] on entry m*N + l), on levels <= N/4: the largest over the classes."""
-    deviation, _, columns = resolution_operator(space, spec, scheme)
-    diag = np.arange(columns.shape[1])
-    deviation[:, diag, diag] -= np.where(columns >= 0, weights[columns % space.dim], 0.0)
+    weights[l] on entry m*N + l), on levels <= N/4: the largest over the charges."""
+    deviation, charges = resolution_operator(space, spec, scheme)
+    diag = np.arange(deviation.shape[2])
+    kets = diag + np.maximum(-charges, 0)[:, None]
+    deviation[:, diag, diag] -= np.where(diag < diag.size - np.abs(charges)[:, None], weights[kets % space.dim], 0.0)
     return _largest_norm(deviation)
 
 

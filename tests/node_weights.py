@@ -9,6 +9,15 @@ import math
 
 import numpy as np
 
+from hsqm.quadrature import QuadratureScheme
+
+
+def rule(n, radial, angular):
+    """The rule for N = ``n``, checked to have ``radial`` rings of ``angular`` angles."""
+    scheme = QuadratureScheme(n)
+    assert (len(scheme.radial_nodes), scheme.angular_count) == (radial, angular)
+    return scheme
+
 
 def node_weights(scheme):
     """Weights of the K = R * A nodes of ``scheme``, in ``z_nodes`` order:

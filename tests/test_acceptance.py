@@ -26,7 +26,7 @@ from hsqm.fock import (
     gibbs_density,
     identity,
 )
-from hsqm.hs_space import basis_element, block_indices, hs_norm, vee
+from hsqm.hs_space import basis_element, hs_norm, vee
 from hsqm.landau import (
     LandauParams,
     chiral_frequencies,
@@ -41,7 +41,7 @@ from hsqm.modular import ModularData, kms_residual, polar_check, tomita_s
 from hsqm.quadrature import QuadratureScheme
 from hsqm.thermal import s_beta_reflection, safe_radius
 from hsqm.wigner import wigner_function, wigner_inverse
-from block_oracle import dense_block
+from block_oracle import block_indices, dense_block, ring_gram
 from node_weights import node_weights
 
 from scipy.special import gammaln
@@ -136,7 +136,7 @@ def test_c04_wigner_unitarity_and_round_trip():
     t0 = time.perf_counter()
     n = 24
     sp = FockSpace(n)
-    scheme = QuadratureScheme.default(n)
+    scheme = QuadratureScheme(n)
     half = n // 2
 
     stack = displacement_stack(sp, scheme.z_nodes)
@@ -183,12 +183,12 @@ def test_c05a_thermal_cs_resolution_identity():
     n = 32
     sp = FockSpace(n)
     spec = ThermalSpec(1.0, 1.0)
-    scheme = QuadratureScheme.default(n)
+    scheme = QuadratureScheme(n)
     lam = np.diag(gibbs_density(sp, spec).mat).real
     gap = 1.0 - lam[n // 4]
     keep = np.arange(n // 4 + 1)
     cols = (keep[:, None] * n + keep[None, :]).ravel()  # row-major |k><l| -> k*N + l
-    assert np.array_equal(block_indices(sp), cols)  # the columns resolution_operator assembles
+    assert np.array_equal(block_indices(sp), cols)  # the columns dense_block scatters resolution_operator into
     weight = np.tile(lam, n)[cols]  # diagonal of kron(I, diag(lambda)) on the block
     eye = np.eye(n * n)[:, cols]
 
@@ -198,7 +198,7 @@ def test_c05a_thermal_cs_resolution_identity():
     mirror_states = displacement_stack(sp, -np.sqrt(scheme.radial_nodes)).real * np.sqrt(lam)
     blocks = {
         "family": dense_block(sp, spec, scheme),
-        "mirror": scheme._ring_gram(mirror_states)[:, cols],
+        "mirror": ring_gram(scheme, mirror_states)[:, cols],
     }
     rows = {}
     for name, block in blocks.items():
@@ -283,7 +283,7 @@ def test_c07_husimi():
         zm = complex(*rng.uniform(-1, 1, 2))
         worst = max(worst, abs(husimi(p, beta, zp, zm) - oracle(zp, zm)))
 
-    trace_res = husimi_trace_residual(p, beta, QuadratureScheme.default(12))
+    trace_res = husimi_trace_residual(p, beta, QuadratureScheme(12))
 
     grid = np.linspace(-3, 3, 41)
     min_val = min(husimi(p, beta, complex(x, y), 0.4j) for x in grid for y in grid)
@@ -309,7 +309,7 @@ def test_c08_lll_kernel():
         zp = complex(*rng.uniform(-1, 1, 2))
         worst_k = max(worst_k, abs(reproducing_kernel(sp, z, zp) - np.exp(z * np.conj(zp))))
 
-    scheme = QuadratureScheme.default(16)
+    scheme = QuadratureScheme(16)
     z0 = 0.6 - 0.4j
     worst_m = 0.0
     for k in range(11):

@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 
 from hsqm import cli, quadrature, thermal
 from hsqm.fock import FockSpace
-from hsqm.landau import classical_frame
 from hsqm.quadrature import QuadratureScheme
+from block_oracle import classical_frame
 from known_red import known_red_excess
 
 
@@ -203,7 +203,7 @@ def test_resolution_triangle_bound_at_n8(tmp_path):
     assert value <= 1e-5
     sp = FockSpace(8)
     keep = np.arange(8 // 4 + 1)
-    p, e = classical_frame(sp, QuadratureScheme.default(8))[:, keep], np.eye(8)[:, keep]
+    p, e = classical_frame(sp, QuadratureScheme(8))[:, keep], np.eye(8)[:, keep]
     sector, eye = np.kron(p, p), np.kron(e, e)
     exact = float(np.linalg.norm(np.kron(sector, sector) - np.kron(eye, eye), 2))
     assert exact <= value * (1.0 + 1e-14)
@@ -229,8 +229,8 @@ def _count_stacks(monkeypatch):
 
 
 def test_resolution_builds_no_stack(tmp_path, monkeypatch):
-    # the residuals take the closed form on the rows of their charge
-    # classes alone: no radial stack, no displacement stack
+    # the residuals take the magnitudes of their charge diagonals alone:
+    # no radial stack, no displacement stack
     calls = _count_stacks(monkeypatch)
     code, _ = _run(tmp_path, ["resolution", "--N", "8"])
     assert code == 1
@@ -238,11 +238,12 @@ def test_resolution_builds_no_stack(tmp_path, monkeypatch):
 
 
 def test_wigner_builds_one_stack(tmp_path, monkeypatch):
-    # both round trips and the N/2 unitarity Gram read the scheme's one stack
+    # both round trips read the scheme's one stack; the N/2 unitarity Gram
+    # reads the charge diagonals, no stack
     calls = _count_stacks(monkeypatch)
     code, _ = _run(tmp_path, ["wigner", "--N", "16"])
     assert code == 0
-    assert calls == {"radial": [16, 16, 8], "displacement": [16]}
+    assert calls == {"radial": [16, 16], "displacement": [16]}
 
 
 @pytest.mark.parametrize("command, limit", [("resolution", 64e6), ("wigner", 260e6)])

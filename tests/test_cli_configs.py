@@ -118,7 +118,7 @@ def test_generated_commutant_configuration_reports(n):
 
 
 #: quadrature-size flags no subcommand takes any more: the phase-plane
-#: subcommands integrate on QuadratureScheme.default(N) alone
+#: subcommands integrate on QuadratureScheme(N) alone
 RETIRED = ("--radial-nodes", "--angular-nodes", "--allow-small")
 NOT_TAKEN = [
     (command, flag)

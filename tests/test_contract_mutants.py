@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from hsqm import cli, commutant, hs_space, modular, quadrature, thermal
+from hsqm.fock import FockSpace
 from flow_rotation import SPECS, TOL, flow_rotation_deviation
 from known_red import known_red_excess
 
@@ -22,6 +23,7 @@ _LAGUERRE_RULE = quadrature._laguerre_rule
 _RHO_POWER = modular.ModularData.rho_power
 _DELTA_POWER = modular.delta_power
 _RESOLUTION_OPERATOR = thermal.resolution_operator
+_CHARGE_DIAGONALS = quadrature.QuadratureScheme._charge_diagonals
 
 
 def _energies_scaled(space, spec):
@@ -54,11 +56,17 @@ def _delta_exponent_scaled(md, s):
 
 
 def _layout_column_major(space, spec, scheme):
-    # the charge-class layout read column-major, n*N + m: the blocks keep
+    # the charge layout read column-major, |n><m| for |m><n|: the blocks keep
     # their entries, but each reference weight is read at charge -c
-    blocks, rows, columns = _RESOLUTION_OPERATOR(space, spec, scheme)
-    n = space.dim
-    return blocks, *(np.where(index >= 0, index % n * n + index // n, -1) for index in (rows, columns))
+    blocks, charges = _RESOLUTION_OPERATOR(space, spec, scheme)
+    return blocks, -charges
+
+
+def _diagonals_unmasked(scheme, space, count):
+    # the charge diagonals with the truncation mask dropped: the entries
+    # p + k >= N, off the N x N matrix, keep their magnitudes h_p^k (the
+    # same bits as the diagonals of a space of N + count levels)
+    return _CHARGE_DIAGONALS(scheme, FockSpace(space.dim + count), count)[:, : space.dim]
 
 
 def _image_rank_no_cutoff(alg, phi):
@@ -82,6 +90,8 @@ MUTANTS = [
      ["resolution", "--N", "16"], ["hiho_frame_residual", "xaxa_frame_residual", "resolv_residual"]),
     ("resolution-layout-column-major", thermal, "resolution_operator", _layout_column_major,
      ["resolution", "--N", "16"], ["hiho_frame_residual", "xaxa_frame_residual"]),
+    ("wigner-diagonals-unmasked", quadrature.QuadratureScheme, "_charge_diagonals", _diagonals_unmasked,
+     ["wigner", "--N", "16"], ["unitarity_gram_max_dev"]),
     ("polar-delta-exponent-x1.01", modular, "delta_power", _delta_exponent_scaled,
      ["modular", "--N", "16"], ["polar_residual"]),
     ("commutant-image-rank-no-cutoff", commutant, "_image_rank", _image_rank_no_cutoff,

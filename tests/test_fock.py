@@ -204,7 +204,7 @@ def _scipy_closed_form(n_levels, alphas):
 @pytest.mark.parametrize("n_levels", [2, 3, 8, 17, 32, 64])
 def test_closed_form_matches_scipy_oracle(n_levels):
     rng = np.random.default_rng(n_levels)
-    t = QuadratureScheme.default(n_levels).radial_nodes
+    t = QuadratureScheme(n_levels).radial_nodes
     inside = math.sqrt(n_levels) * rng.uniform(size=8) * np.exp(2j * math.pi * rng.uniform(size=8))
     alphas = np.concatenate([np.sqrt(t) * np.exp(2j * math.pi * rng.uniform(size=t.size)), inside, [0.0]])
     got = displacement_stack(FockSpace(n_levels), alphas)

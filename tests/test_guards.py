@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from hsqm import cli
 from hsqm.commutant import AlgebraBasis, AlgebraGens, intersection_dimension
 from hsqm.fock import (
     FockSpace,
@@ -54,7 +55,7 @@ NON_FINITE = {
     "reproducing_kernel_z_prime": lambda v: reproducing_kernel(SP, 0.5, complex(0.1, v)),
     "husimi_plus": lambda v: husimi(DEFAULT, 1.0, v, 0.0),
     "husimi_minus": lambda v: husimi(DEFAULT, 1.0, 0.0, np.array([0.5, complex(0.1, v)])),
-    "project_hol": lambda v: project_hol(lambda w: w, QuadratureScheme.default(4), complex(v, 0.2)),
+    "project_hol": lambda v: project_hol(lambda w: w, QuadratureScheme(4), complex(v, 0.2)),
     "kms_residual": lambda v: kms_residual(_md(), creation(SP) @ annihilation(SP), identity(SP), v),
 }
 
@@ -111,11 +112,17 @@ GUARDS = {
         "partition functions overflow double precision",
         lambda: partition(LandauParams(1.0, 1.0, 2.0, 0.1), 1e-310),
     ),
+    # s+ s- (each s about beta h Omega) falls below the smallest normal double from beta = 1e-154
+    "husimi-prefactor-underflow": (
+        ValueError,
+        "beta = 1e-165 is too small: the Husimi prefactor",
+        lambda: husimi(LandauParams(1.0, 1.0, 2.0, 0.1), 1e-165, 0.5, 0.0),
+    ),
     # beta = 1e-310 passes the beta guard; the nodes rescaled by 1/(1 - e^(-beta h Omega)) overflow
     "husimi_trace_residual-overflow": (
         ValueError,
         "beta = 1e-310 is too small",
-        lambda: husimi_trace_residual(LandauParams(1.0, 1.0, 2.0, 0.1), 1e-310, QuadratureScheme.default(4)),
+        lambda: husimi_trace_residual(LandauParams(1.0, 1.0, 2.0, 0.1), 1e-310, QuadratureScheme(4)),
     ),
     "AntilinearMap-shape": (
         ValueError,
@@ -154,3 +161,10 @@ GUARDS = {
 def test_guard_raises_typed_error(error, message, call):
     with pytest.raises(error, match=message):
         call()
+
+
+def test_husimi_cli_rejects_underflowing_prefactor(tmp_path, capsys):
+    # past the underflow the trace contract read 1.0 and the run exited 1;
+    # the guard makes it a typed error that names beta, exit 2
+    assert cli.main(["husimi", "--beta", "1e-165", "--out", str(tmp_path / "out.csv")]) == 2
+    assert "beta = 1e-165 is too small" in capsys.readouterr().err

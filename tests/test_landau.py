@@ -13,7 +13,6 @@ from hsqm.hs_space import basis_element
 from hsqm.landau import (
     LandauParams,
     chiral_frequencies,
-    classical_frame,
     husimi,
     husimi_trace_residual,
     partition,
@@ -24,8 +23,8 @@ from hsqm.landau import (
     uncertainty_report,
 )
 from hsqm.quadrature import QuadratureScheme
-from block_oracle import column_block_norm
-from node_weights import node_weights
+from block_oracle import classical_frame, column_block_norm, ring_gram
+from node_weights import node_weights, rule
 
 DEFAULT = LandauParams(mass=1.0, omega0=1.0, omega_c=2.0, theta=0.1)
 
@@ -212,7 +211,7 @@ def test_partition_closed_forms():
 
 
 def test_husimi_trace_residual():
-    scheme = QuadratureScheme.default(12)
+    scheme = QuadratureScheme(12)
     assert husimi_trace_residual(DEFAULT, 1.0, scheme) <= 1e-10
     assert husimi_trace_residual(DEFAULT, 2.0, scheme) <= 1e-10
     other = LandauParams(mass=0.8, omega0=0.5, omega_c=1.7, theta=0.2)
@@ -250,7 +249,7 @@ def test_husimi_trace_residual_generated_params(mass, omega0, omega_c, theta, hb
     except ValueError:
         assume(False)
     assume(freq.Omega_plus > 0 and freq.Omega_minus > 0)
-    scheme = QuadratureScheme.default(n)
+    scheme = QuadratureScheme(n)
     residual = husimi_trace_residual(p, beta, scheme)
     assert residual <= 1e-10
     assert abs(residual - _husimi_trace_residual_on_grid(p, beta, scheme)) <= 1e-15
@@ -277,7 +276,7 @@ def test_reproducing_kernel():
 
 
 def test_project_hol_fixes_monomials():
-    scheme = QuadratureScheme.default(16)
+    scheme = QuadratureScheme(16)
     z0 = 0.7 - 0.3j
     for k in range(11):
         got = project_hol(lambda w, k=k: w**k, scheme, z0)
@@ -316,27 +315,20 @@ def test_uncertainty_rejects_zero_theta():
 
 def test_tensor_resolution_endpoint():
     sp = FockSpace(6)
-    scheme = QuadratureScheme.default(6)
+    scheme = QuadratureScheme(6)
     assert tensor_resolution_residual(sp, scheme) <= 1e-5
     sp16 = FockSpace(16)
-    assert tensor_resolution_residual(sp16, QuadratureScheme.default(16)) <= 1e-5
+    assert tensor_resolution_residual(sp16, QuadratureScheme(16)) <= 1e-5
 
 
 # -- polar path against brute force ------------------------------------------
 #
-# The frames are built from R radial columns and the mod-A charge rule;
-# the references below are the direct K = R*A node sums.  Aliased schemes
-# (A < 2N - 1) exercise charges that differ by A.
+# The frames are built from R radial columns and the equal-charge rule;
+# the references below are the direct K = R*A node sums, on the rule for
+# N (2N rings, 4N+1 angles), at even and odd N.
 
 
-def _scheme_sizes(n):
-    yield 2 * n, 4 * n + 1
-    for count in (3, 4, 5, 8):
-        if count < 2 * n - 1:
-            yield 2 * n, count
-
-
-FRAME_CASES = [(n, *sizes) for n in (4, 6, 8) for sizes in _scheme_sizes(n)]
+FRAME_CASES = [(n, 2 * n, 4 * n + 1) for n in (4, 5, 6, 8)]
 
 
 def _node_vectors(sp, scheme):
@@ -347,7 +339,7 @@ def _node_vectors(sp, scheme):
 @pytest.mark.parametrize("n, radial, angular", FRAME_CASES)
 def test_classical_and_sector_frames_match_node_sum(n, radial, angular):
     sp = FockSpace(n)
-    scheme = QuadratureScheme(radial, angular)
+    scheme = rule(n, radial, angular)
     coh, w = _node_vectors(sp, scheme)
     reference = (coh.T * w) @ coh.conj()
     frame = classical_frame(sp, scheme)
@@ -360,11 +352,11 @@ def test_frames_from_column_zero_match_full_stack(n, radial, angular):
     # the closed form on the support (n, 0) only gives the same bits as
     # column 0 of the full radial stack, and so the same frame
     sp = FockSpace(n)
-    scheme = QuadratureScheme(radial, angular)
+    scheme = rule(n, radial, angular)
     stack = scheme._radial_stack(sp)
     c = stack[:, :, 0]
     assert np.array_equal(scheme._radial_column(sp), c)
-    assert np.array_equal(classical_frame(sp, scheme), scheme._ring_gram(stack[:, :, :1]))
+    assert np.array_equal(classical_frame(sp, scheme), ring_gram(scheme, stack[:, :, :1]))
 
 
 @pytest.mark.parametrize(
@@ -375,11 +367,9 @@ def test_tensor_resolution_residual_matches_full_kron(n, max_level):
     # the two-sector residual is the triangle bound r (1 + r) + r of its
     # deviation r.  Kronning only the block columns of P must not move a
     # bit, and the norm from the column Gram must agree with the SVD norm.
-    # The public residual takes the norm per pair of level classes mod A:
-    # on the default rule every block is 1 x 1, to the bit; on aliased
-    # rules its Grams sum in another order, so rel 1e-13.  At N = 24 and
-    # A = 4 a class holds fewer block columns than another, so its padding
-    # would read the frame's last level, which lies in that class.
+    # The public residual is max |f_a f_b - 1| over the block, f = diag(P):
+    # P is diagonal on the rule for N, so every block of the Gram is 1 x 1
+    # and the two agree to the bit.
     # Up to N^4 = 4096 the full four-index kron is the oracle: its exact
     # deviation may not exceed the bound.  The public residual is fixed at
     # the N/4 block; the other blocks check the kron of block columns and
@@ -388,20 +378,17 @@ def test_tensor_resolution_residual_matches_full_kron(n, max_level):
     level = n // 4 if max_level is None else max_level
     keep = np.arange(level + 1)
     cols = (keep[:, None] * n + keep[None, :]).ravel()
-    for radial, angular in _scheme_sizes(n):
-        scheme = QuadratureScheme(radial, angular)
-        frame = classical_frame(sp, scheme)
-        sector = np.kron(frame, frame)[:, cols]
-        eye = np.eye(n * n)[:, cols]
-        r, svd_r = column_block_norm(sector - eye), float(np.linalg.norm(sector - eye, 2))
-        assert r == pytest.approx(svd_r, rel=1e-14, abs=0.0)
-        bound = r * (1.0 + r) + r
-        if n**4 <= 4096:
-            deviation = np.kron(sector, sector) - np.kron(eye, eye)
-            exact = column_block_norm(deviation)
-            assert exact == pytest.approx(np.linalg.norm(deviation, 2), rel=1e-14, abs=0.0)
-            assert exact <= bound * (1.0 + 1e-14)
-        if level == n // 4 and angular > 2 * n:
-            assert tensor_resolution_residual(sp, scheme) == bound
-        elif level == n // 4:
-            assert tensor_resolution_residual(sp, scheme) == pytest.approx(bound, rel=1e-13, abs=0.0)
+    scheme = QuadratureScheme(n)
+    frame = classical_frame(sp, scheme)
+    sector = np.kron(frame, frame)[:, cols]
+    eye = np.eye(n * n)[:, cols]
+    r, svd_r = column_block_norm(sector - eye), float(np.linalg.norm(sector - eye, 2))
+    assert r == pytest.approx(svd_r, rel=1e-14, abs=0.0)
+    bound = r * (1.0 + r) + r
+    if n**4 <= 4096:
+        deviation = np.kron(sector, sector) - np.kron(eye, eye)
+        exact = column_block_norm(deviation)
+        assert exact == pytest.approx(np.linalg.norm(deviation, 2), rel=1e-14, abs=0.0)
+        assert exact <= bound * (1.0 + 1e-14)
+    if level == n // 4:
+        assert tensor_resolution_residual(sp, scheme) == bound

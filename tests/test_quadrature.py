@@ -9,58 +9,61 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hsqm.fock import FockSpace, Operator, ThermalSpec, displacement_stack, gibbs_density
-from hsqm.hs_space import basis_element, block_indices
+from hsqm.hs_space import basis_element
 from hsqm.landau import LandauParams, husimi_trace_residual, project_hol, tensor_resolution_residual
 from hsqm.quadrature import QuadratureScheme, _laguerre_rule
-from hsqm.thermal import frame_operator_residual, resolution_residual
+from hsqm.thermal import frame_operator_residual, resolution_operator, resolution_residual
 from hsqm.wigner import wigner_function, wigner_inverse
-from block_oracle import dense_block
-from node_weights import node_weights
+from block_oracle import block_indices, dense_block, ring_gram
+from node_weights import node_weights, rule
 
 
 def test_validation():
-    with pytest.raises(ValueError):
-        QuadratureScheme(0, 5)
-    with pytest.raises(ValueError):
-        QuadratureScheme(4, 2)
+    with pytest.raises(ValueError, match="needs N >= 1"):
+        QuadratureScheme(0)
+    with pytest.raises(ValueError, match="needs N >= 1"):
+        QuadratureScheme(-4)
 
 
-@pytest.mark.parametrize("sizes", [(8, 4.5), (8.0, 5), (8.5, 5), ("8", 5), (8, None)])
+@pytest.mark.parametrize("sizes", [(4.5,), (8.0,), (8.5,), ("8",), (None,)])
 def test_non_integral_sizes_are_rejected(sizes):
-    # a float angular count used to record int(A) angles but build ceil(A)
-    with pytest.raises(ValueError, match="integers"):
+    # the one size of the rule is the truncation N
+    with pytest.raises(ValueError, match="must be an integer"):
         QuadratureScheme(*sizes)
 
 
 def test_numpy_integer_sizes():
-    q = QuadratureScheme(np.int64(8), np.int32(5))
-    assert type(q.angular_count) is int and q.angular_count == 5
-    assert q.z_nodes.size == 40 and q.ring_weights.size == 8
-    assert np.array_equal(q.ring_weights, QuadratureScheme(8, 5).ring_weights)
+    for n_levels in (np.int64(8), np.int32(8)):
+        q = QuadratureScheme(n_levels)
+        assert type(q.n_levels) is int and q.n_levels == 8
+        assert type(q.angular_count) is int and q.angular_count == 33
+        assert q.z_nodes.size == 16 * 33 and q.ring_weights.size == 16
+        assert np.array_equal(q.ring_weights, QuadratureScheme(8).ring_weights)
 
 
 def test_defaults_and_adequacy():
-    q = QuadratureScheme.default(10)
+    # 2N rings and 4N+1 angles: no two charges of the first N levels alias
+    q = QuadratureScheme(10)
+    assert q.n_levels == 10
     assert len(q.radial_nodes) == 20
     assert q.angular_count == 41
-    # the radial rule reaches the default 2N rings up to N = 268
-    assert len(QuadratureScheme.default(268).radial_nodes) == 536
+    # the radial rule reaches the 2N rings up to N = 268
+    assert len(QuadratureScheme(268).radial_nodes) == 536
     with pytest.raises(ValueError, match="radial rule is limited"):
-        QuadratureScheme.default(269)
+        QuadratureScheme(269)
 
 
 def test_plane_gaussian():
-    q = QuadratureScheme.default(8)
+    q = QuadratureScheme(8)
     vals = np.exp(-np.abs(q.z_nodes) ** 2)  # e^{-(x^2+y^2)/2}
     assert np.sum(node_weights(q) * vals) == pytest.approx(2 * math.pi, rel=1e-13)
 
 
 @pytest.mark.parametrize("k", [0, 1, 3, 6])
 def test_radial_moments(k):
-    # integral over the plane of t^k e^{-t} dt dphi = 2 pi k!
-    q = QuadratureScheme(12, 9)
-    t = np.abs(q.z_nodes) ** 2
-    got = np.sum(node_weights(q) * t**k * np.exp(-t))
+    # integral over the plane of t^k e^{-t} dt dphi = 2 pi k!, on the R = 12 rule
+    t, ring = _laguerre_rule(12)
+    got = 2 * math.pi * np.sum(ring * t**k * np.exp(-t))
     assert got == pytest.approx(2 * math.pi * math.factorial(k), rel=1e-12)
 
 
@@ -69,9 +72,9 @@ def test_rule_matches_50_digit_table(radial, rtol):
     # tests/reference/make_tables.py; scipy's own ring weights miss 1e-13
     # from R = 32 and underflow to 0 at R = 200
     table = json.loads((Path(__file__).parent / "reference" / "laguerre_rule.json").read_text())[str(radial)]
-    q = QuadratureScheme(radial, 5)
-    assert np.allclose(q.radial_nodes, np.array(table["nodes"], dtype=float), rtol=rtol, atol=0.0)
-    assert np.allclose(q.ring_weights, np.array(table["ring_weights"], dtype=float), rtol=rtol, atol=0.0)
+    t, ring = _laguerre_rule(radial)
+    assert np.allclose(t, np.array(table["nodes"], dtype=float), rtol=rtol, atol=0.0)
+    assert np.allclose(ring, np.array(table["ring_weights"], dtype=float), rtol=rtol, atol=0.0)
 
 
 def test_rule_at_r512():
@@ -80,20 +83,20 @@ def test_rule_at_r512():
     # integral of t^2 e^-t dt = 2; e^-t underflows on the outer rings
     assert np.sum(ring * np.exp(-t) * t**2) == pytest.approx(2.0, rel=1e-12)
     with pytest.raises(ValueError, match="radial rule is limited"):
-        QuadratureScheme(600, 5)
+        _laguerre_rule(600)
 
 
 def test_angular_exactness():
-    q = QuadratureScheme(6, 9)
+    q = QuadratureScheme(3)  # 6 rings of 13 angles
     t = np.abs(q.z_nodes) ** 2
     base = np.exp(-t)
-    for k in range(1, 9):
+    for k in range(1, 13):
         phase = (q.z_nodes / np.abs(q.z_nodes)) ** k
         assert abs(np.sum(node_weights(q) * base * phase)) <= 1e-12
 
 
 def test_xy_convention():
-    q = QuadratureScheme(4, 5)
+    q = QuadratureScheme(4)
     x, y = q.xy_nodes()
     z = (y - 1j * x) / math.sqrt(2)
     assert np.allclose(z, q.z_nodes)
@@ -102,34 +105,57 @@ def test_xy_convention():
 def test_radial_stack_is_kept_and_read_by_smaller_spaces():
     # each entry is the untruncated matrix element, so the top-left block
     # of the kept stack is the stack a smaller space builds, to the bit
-    scheme = QuadratureScheme.default(16)
+    scheme = QuadratureScheme(16)
     kept = scheme._radial_stack(FockSpace(16))
     assert not kept.flags.writeable
     for n in (2, 5, 8, 16):
         block = scheme._radial_stack(FockSpace(n))
         assert np.shares_memory(block, kept)
-        assert np.array_equal(block, QuadratureScheme.default(16)._radial_stack(FockSpace(n)))
+        assert np.array_equal(block, QuadratureScheme(16)._radial_stack(FockSpace(n)))
+
+
+def test_charge_diagonals_are_the_stack_magnitudes():
+    # the magnitudes on the diagonals m - n = +-k of the radial matrices, to
+    # the bit, with the (-1)^k sign of the m < n side; 0 past the matrix
+    scheme = QuadratureScheme(12)
+    for n, count in ((12, 12), (9, 4), (6, 1)):
+        stack = scheme._radial_stack(FockSpace(n))
+        diagonals = scheme._charge_diagonals(FockSpace(n), count)
+        assert diagonals.shape == (count, n, len(scheme.radial_nodes))
+        for k in range(count):
+            p = np.arange(n - k)
+            below = stack[:, p + k, p].T
+            assert np.array_equal(diagonals[k, : n - k], below)
+            assert np.array_equal(stack[:, p, p + k].T, (-1.0) ** k * below)
+            assert not diagonals[k, n - k :].any()
+
+
+SPACE_CALLS = {
+    "resolution_operator": lambda sp, q: resolution_operator(sp, ThermalSpec(1.0, 1.0), q)[0],
+    "tensor_resolution_residual": tensor_resolution_residual,
+    "wigner_inverse": lambda sp, q: wigner_inverse(wigner_function(basis_element(sp, 0, 0)), q, sp).mat,
+}
+
+
+@pytest.mark.parametrize("call", SPACE_CALLS.values(), ids=SPACE_CALLS.keys())
+def test_space_larger_than_the_rule_raises(call):
+    # the rule for N = 8 covers spaces of up to 8 levels and no more
+    q = QuadratureScheme(8)
+    assert np.all(np.isfinite(call(FockSpace(8), q)))
+    with pytest.raises(ValueError, match="a space of 9 levels exceeds the quadrature rule for N = 8"):
+        call(FockSpace(9), q)
 
 
 # -- polar path against brute force ------------------------------------------
 #
-# _ring_gram (the full frame, an oracle for resolution_operator's block
+# ring_gram (the full frame, an oracle for resolution_operator's block
 # columns and for the per-charge Gram of the Wigner images that the
-# unitarity contract reads) and wigner_inverse build their node sums from R radial matrices and the mod-A charge rule; the
-# references below sum over all K = R*A node matrices directly.  Aliased
-# schemes (A < 2N - 1) with odd and even A exercise charges that differ
-# by A, and the mirror sign (-1)^(c - c') at c - c' = +-A.
+# unitarity contract reads) and wigner_inverse build their node sums from
+# R radial matrices and the equal-charge rule; the references below sum
+# over all K = R*A node matrices directly, on the rule for N, odd N too.
 
 
-def _polar_cases():
-    for n in (4, 6, 8):
-        yield n, 2 * n, 4 * n + 1
-        for count in (3, 4, 5, 8):
-            if count < 2 * n - 1:
-                yield n, 2 * n, count
-
-
-POLAR_CASES = list(_polar_cases())
+POLAR_CASES = [(n, 2 * n, 4 * n + 1) for n in (4, 5, 6, 8)]
 
 
 def _random_operator(sp, seed):
@@ -147,13 +173,13 @@ def test_resolution_operator_matches_node_sum(n, radial, angular, mirrored):
     # its columns block_indices(sp) alone
     sp = FockSpace(n)
     spec = ThermalSpec(1.0, 0.7)
-    scheme = QuadratureScheme(radial, angular)
+    scheme = rule(n, radial, angular)
     sqrt_lam = np.sqrt(np.diag(gibbs_density(sp, spec).mat).real)
     stack = displacement_stack(sp, -scheme.z_nodes if mirrored else scheme.z_nodes)
     vecs = (stack * sqrt_lam).reshape(len(scheme.z_nodes), n * n)
     reference = (vecs.T * (node_weights(scheme) / (2 * math.pi))) @ vecs.conj()
     sign = (-1.0) ** np.add.outer(np.arange(n), np.arange(n)).ravel() if mirrored else np.ones(n * n)
-    got = sign[:, None] * scheme._ring_gram(scheme._radial_stack(sp) * sqrt_lam) * sign
+    got = sign[:, None] * ring_gram(scheme, scheme._radial_stack(sp) * sqrt_lam) * sign
     assert np.max(np.abs(got - reference)) <= 1e-13
     cols = block_indices(sp)
     block = sign[:, None] * dense_block(sp, spec, scheme) * sign[cols]
@@ -163,7 +189,7 @@ def test_resolution_operator_matches_node_sum(n, radial, angular, mirrored):
 @pytest.mark.parametrize("n, radial, angular", POLAR_CASES)
 def test_wigner_inverse_matches_node_sum(n, radial, angular):
     sp = FockSpace(n)
-    scheme = QuadratureScheme(radial, angular)
+    scheme = rule(n, radial, angular)
     stack = displacement_stack(sp, scheme.z_nodes)
 
     def f(xs, ys):  # every angular frequency, not a W-image
@@ -182,22 +208,22 @@ def test_wigner_inverse_matches_node_sum(n, radial, angular):
 @pytest.mark.parametrize("n, radial, angular", POLAR_CASES)
 def test_unitarity_residual_matches_node_sum(n, radial, angular):
     sp = FockSpace(n)
-    scheme = QuadratureScheme(radial, angular)
+    scheme = rule(n, radial, angular)
     stack = displacement_stack(sp, scheme.z_nodes)
     x, y = _random_operator(sp, 2 * n), _random_operator(sp, 2 * n + 1)
     vx = np.einsum("kmn,mn->k", stack.conj(), x.mat) / math.sqrt(2 * math.pi)
     vy = np.einsum("kmn,mn->k", stack.conj(), y.mat) / math.sqrt(2 * math.pi)
     inner = np.vdot(x.mat, y.mat)
     reference = abs(np.sum(node_weights(scheme) * vx.conj() * vy) - inner)
-    gram = scheme._ring_gram(scheme._radial_stack(sp))
+    gram = ring_gram(scheme, scheme._radial_stack(sp))
     assert abs(abs(x.mat.ravel().conj() @ gram @ y.mat.ravel() - inner) - reference) <= 1e-13
 
 
 # -- every rule the library accepts gives a finite number --------------------
 #
-# The CLI integrates on QuadratureScheme.default(N) alone; smaller and
-# aliased rules (A < 2N - 1) stay library inputs, so the calls behind each
-# phase-plane subcommand are checked on them here, warnings as errors.
+# The CLI integrates a space of N levels on QuadratureScheme(N); a larger
+# rule covers a smaller space too.  The calls behind each phase-plane
+# subcommand are checked on both, warnings as errors.
 
 _PARAMS, _SPEC = LandauParams(1.0, 1.0, 2.0, 0.1), ThermalSpec(1.0, 1.0)
 SCHEME_CALLS = {
@@ -210,28 +236,17 @@ SCHEME_CALLS = {
 }
 
 
-def _check_scheme(command, n, radial, angular):
-    """The calls of ``command`` on an R x A rule report finite values, or
-    the rule is rejected with a ValueError."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        if angular < 3:
-            with pytest.raises(ValueError, match="need at least three angular nodes"):
-                QuadratureScheme(radial, angular)
-            return
-        values = SCHEME_CALLS[command](FockSpace(n), QuadratureScheme(radial, angular))
-    assert np.all(np.isfinite(values))
-
-
 @settings(max_examples=120, deadline=None)
 @given(st.sampled_from(sorted(SCHEME_CALLS)), st.integers(4, 12), st.data())
 def test_generated_scheme_reports_or_rejects(command, n, data):
-    radial = data.draw(st.integers(1, 3 * n), label="radial")
-    angular = data.draw(st.integers(1, 5 * n), label="angular")
-    _check_scheme(command, n, radial, angular)
-
-
-@pytest.mark.parametrize("command", sorted(SCHEME_CALLS))
-def test_aliased_schemes_report(command):
-    for angular in (3, 4, 5, 8):  # A < 2N - 1 at N = 8, odd and even
-        _check_scheme(command, 8, 16, angular)
+    # the calls of ``command`` on the rule for a drawn N >= n report finite
+    # values, or the rule is rejected with the radial rule's ValueError
+    levels = data.draw(st.one_of(st.integers(n, 3 * n), st.just(269)), label="levels")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if levels > 268:
+            with pytest.raises(ValueError, match="radial rule is limited"):
+                QuadratureScheme(levels)
+            return
+        values = SCHEME_CALLS[command](FockSpace(n), QuadratureScheme(levels))
+    assert np.all(np.isfinite(values))

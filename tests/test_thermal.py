@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hsqm.fock import FockSpace, Operator, ThermalSpec, displacement_stack, gibbs_density
-from hsqm.hs_space import basis_element, block_indices, hs_norm
+from hsqm.hs_space import basis_element, hs_norm
 from hsqm.modular import ModularData
 from hsqm.quadrature import QuadratureScheme
 from hsqm.thermal import (
@@ -18,7 +18,8 @@ from hsqm.thermal import (
     s_beta_reflection,
     safe_radius,
 )
-from block_oracle import column_block_norm, dense_block
+from block_oracle import block_indices, column_block_norm, dense_block, ring_gram
+from node_weights import rule
 
 
 def _thermal_cs(space, spec, z):
@@ -125,7 +126,7 @@ def _family_states(sp, spec, scheme, mirrored=False):
 def _mirrored_deviation_norm(sp, spec, scheme, weights):
     """Restricted 2-norm of the mirrored family's deviation from kron(I, diag(weights)) on levels <= N/4."""
     cols = block_indices(sp)
-    deviation = scheme._ring_gram(_family_states(sp, spec, scheme, mirrored=True))[:, cols]
+    deviation = ring_gram(scheme, _family_states(sp, spec, scheme, mirrored=True))[:, cols]
     deviation[cols, np.arange(cols.size)] -= weights[cols % sp.dim]
     return column_block_norm(deviation)
 
@@ -134,7 +135,7 @@ def _mirrored_deviation_norm(sp, spec, scheme, weights):
 def test_frame_operator_residual_small(mirrored):
     sp = FockSpace(24)
     spec = ThermalSpec(1.0, 1.0)
-    scheme = QuadratureScheme.default(24)
+    scheme = QuadratureScheme(24)
     if mirrored:
         lam = np.diag(gibbs_density(sp, spec).mat).real
         assert _mirrored_deviation_norm(sp, spec, scheme, lam) <= 1e-5
@@ -148,7 +149,7 @@ def test_identity_residual_equals_gibbs_weight_gap():
     # the largest weight gap |lambda_b - 1|
     sp = FockSpace(24)
     spec = ThermalSpec(1.0, 1.0)
-    scheme = QuadratureScheme.default(24)
+    scheme = QuadratureScheme(24)
     lam = np.diag(gibbs_density(sp, spec).mat).real
     predicted = max(abs(lam[b] - 1.0) for b in range(sp.dim // 4 + 1))
     got = resolution_residual(sp, spec, scheme)
@@ -165,7 +166,7 @@ def _element(sp, block, bra, ket):
 def test_resolution_matrix_elements():
     sp = FockSpace(20)
     spec = ThermalSpec(1.0, 1.0)
-    scheme = QuadratureScheme.default(20)
+    scheme = QuadratureScheme(20)
     lam = np.diag(gibbs_density(sp, spec).mat).real
     block = dense_block(sp, spec, scheme)
     assert block.shape == (20 * 20, (20 // 4 + 1) ** 2)
@@ -179,7 +180,7 @@ def test_ground_limit_restricted_identity():
     # coherent-state completeness
     sp = FockSpace(20)
     spec = ThermalSpec(1.0, 60.0)
-    scheme = QuadratureScheme.default(20)
+    scheme = QuadratureScheme(20)
     block = dense_block(sp, spec, scheme)
     assert _element(sp, block, (0, 0), (0, 0)) == pytest.approx(1.0, abs=1e-8)
     assert _element(sp, block, (3, 0), (3, 0)) == pytest.approx(1.0, abs=1e-8)
@@ -194,20 +195,13 @@ def test_reflection(z):
 
 # -- residuals at block cost ---------------------------------------------------
 #
-# The residuals assemble the block's columns one charge class at a time
-# and take the largest operator norm over the classes, each from its small
-# Gram D^T D.  The schemes are the FRAME_CASES of test_landau.py: the
-# default rule and the aliased A = 3, 4, 5, 8.
+# The residuals assemble the block's columns one charge diagonal at a time
+# and take the largest operator norm over the charges, each from its small
+# Gram D^T D.  The schemes are the FRAME_CASES of test_landau.py: the rule
+# for N (2N rings, 4N+1 angles), at even and odd N.
 
 
-def _scheme_sizes(n):
-    yield 2 * n, 4 * n + 1
-    for count in (3, 4, 5, 8):
-        if count < 2 * n - 1:
-            yield 2 * n, count
-
-
-FRAME_CASES = [(n, *sizes) for n in (4, 6, 8) for sizes in _scheme_sizes(n)]
+FRAME_CASES = [(n, 2 * n, 4 * n + 1) for n in (4, 5, 6, 8)]
 
 
 @pytest.mark.parametrize("mirrored", [False, True])
@@ -221,8 +215,8 @@ def test_block_columns_match_full_operator(n, radial, angular, mirrored):
     # from its own stack, assembles to S G S with S the charge sign.
     sp = FockSpace(n)
     spec = ThermalSpec(1.0, 0.7)
-    scheme = QuadratureScheme(radial, angular)
-    full = scheme._ring_gram(_family_states(sp, spec, scheme, mirrored))
+    scheme = rule(n, radial, angular)
+    full = ring_gram(scheme, _family_states(sp, spec, scheme, mirrored))
     sign = (-1.0) ** np.add.outer(np.arange(n), np.arange(n)).ravel() if mirrored else np.ones(n * n)
     bound = radial * np.finfo(float).eps * np.max(np.diag(full))
     cols = block_indices(sp)
@@ -231,19 +225,19 @@ def test_block_columns_match_full_operator(n, radial, angular, mirrored):
 
 @pytest.mark.parametrize("n, radial, angular", FRAME_CASES)
 def test_resolution_operator_layout(n, radial, angular):
-    # one class per residue mod A that the block columns carry: its rows
-    # are every entry of that residue, once, its block columns first, so
-    # that column j of a block sits on row j
+    # one block per charge c of the block columns, c = 0..N/4 then -N/4..-1:
+    # row p is the entry of diagonal c with min(m, n) = p, column j the block
+    # entry with min(m, n) = j, so that column j of a block sits on row j;
+    # rows past the diagonal's N - |c| entries and columns past its
+    # N/4 + 1 - |c| block entries are 0
     sp = FockSpace(n)
-    scheme = QuadratureScheme(radial, angular)
-    _, rows, columns = resolution_operator(sp, ThermalSpec(1.0, 0.7), scheme)
-    charge = np.subtract.outer(np.arange(n), np.arange(n)).ravel() % angular
-    cols = block_indices(sp)
-    assert np.array_equal(np.sort(columns[columns >= 0]), cols)
-    assert np.array_equal(np.sort(rows[rows >= 0]), np.nonzero(np.isin(charge, charge[cols]))[0])
-    for row, column in zip(rows, columns):
-        assert np.unique(charge[row[row >= 0]]).size == 1
-        assert np.array_equal(row[: column.size][column >= 0], column[column >= 0])
+    blocks, charges = resolution_operator(sp, ThermalSpec(1.0, 0.7), rule(n, radial, angular))
+    b = n // 4
+    assert charges.tolist() == [*range(b + 1), *range(-b, 0)]
+    assert blocks.shape == (2 * b + 1, n, b + 1)
+    for block, c in zip(blocks, charges):
+        assert np.all(block[: n - abs(c), : b + 1 - abs(c)] != 0)
+        assert not block[n - abs(c) :].any() and not block[:, b + 1 - abs(c) :].any()
 
 
 @pytest.mark.parametrize("n, radial, angular", FRAME_CASES)
@@ -255,9 +249,9 @@ def test_mirrored_residuals_equal_direct(n, radial, angular):
     # test_block_columns_match_full_operator (measured: 0.124 of it)
     sp = FockSpace(n)
     spec = ThermalSpec(1.0, 0.7)
-    scheme = QuadratureScheme(radial, angular)
+    scheme = rule(n, radial, angular)
     lam = np.diag(gibbs_density(sp, spec).mat).real
-    bound = radial * np.finfo(float).eps * np.max(np.diag(scheme._ring_gram(_family_states(sp, spec, scheme))))
+    bound = radial * np.finfo(float).eps * np.max(np.diag(ring_gram(scheme, _family_states(sp, spec, scheme))))
     for weights, residual in ((np.ones(n), resolution_residual), (lam, frame_operator_residual)):
         direct = residual(sp, spec, scheme)
         assert abs(_mirrored_deviation_norm(sp, spec, scheme, weights) - direct) <= bound
@@ -268,10 +262,9 @@ def test_mirrored_residuals_equal_direct(n, radial, angular):
     n=st.integers(2, 24),
     omega=st.floats(0.1, 4.0),
     beta=st.floats(0.05, 6.0),
-    angular=st.sampled_from([None, 3, 4, 5]),
     data=st.data(),
 )
-def test_residual_gram_norm_matches_dense_norm(n, omega, beta, angular, data):
+def test_residual_gram_norm_matches_dense_norm(n, omega, beta, data):
     # sqrt of the top eigenvalue of D^T D against the SVD norm of D itself,
     # on a drawn block of the family's frame and on the library's N/4
     # block, where the public residuals, from the same entries by charge
@@ -279,12 +272,12 @@ def test_residual_gram_norm_matches_dense_norm(n, omega, beta, angular, data):
     max_level = data.draw(st.integers(0, n - 1), label="max_level")
     sp = FockSpace(n)
     spec = ThermalSpec(omega, beta)
-    scheme = QuadratureScheme.default(n) if angular is None else QuadratureScheme(2 * n, angular)
+    scheme = QuadratureScheme(n)
     lam = np.diag(gibbs_density(sp, spec).mat).real
     states = _family_states(sp, spec, scheme)
     for weights, residual in ((np.ones(n), resolution_residual), (lam, frame_operator_residual)):
         for cols, deviation in (
-            (_level_block(sp, max_level), scheme._ring_gram(states)[:, _level_block(sp, max_level)]),
+            (_level_block(sp, max_level), ring_gram(scheme, states)[:, _level_block(sp, max_level)]),
             (block_indices(sp), dense_block(sp, spec, scheme)),
         ):
             deviation[cols, np.arange(cols.size)] -= weights[cols % n]

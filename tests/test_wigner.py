@@ -19,6 +19,7 @@ from hsqm.fock import (
 from hsqm.hs_space import basis_element, hs_norm, vee
 from hsqm.quadrature import QuadratureScheme
 from hsqm.wigner import _z_of_xy, wigner_function, wigner_inverse
+from block_oracle import ring_gram
 
 
 def _weyl(sp, x, y):
@@ -123,7 +124,7 @@ def test_support_transform_of_dense_operator():
     rng = np.random.default_rng(37)
     mat = rng.standard_normal((24, 24)) + 1j * rng.standard_normal((24, 24))
     x = Operator(sp, mat / np.linalg.norm(mat))
-    xs, ys = QuadratureScheme.default(24).xy_nodes()
+    xs, ys = QuadratureScheme(24).xy_nodes()
     assert np.max(np.abs(wigner_function(x)(xs, ys) - _stack_transform(x, xs, ys))) <= 1e-14
 
 
@@ -141,7 +142,7 @@ def test_support_transform_shapes():
 
 def test_round_trips():
     sp = FockSpace(24)
-    scheme = QuadratureScheme.default(24)
+    scheme = QuadratureScheme(24)
     for n, l in ((0, 0), (1, 2)):
         x = basis_element(sp, n, l)
         back = wigner_inverse(wigner_function(x), scheme, sp)
@@ -155,12 +156,12 @@ def test_inverse_rejects_scalar_only_function():
     # phase functions are evaluated on the whole node grid at once; one
     # scalar back for the grid is an error, not a value to broadcast
     with pytest.raises(ValueError):
-        wigner_inverse(lambda xs, ys: 1.0, QuadratureScheme.default(8), FockSpace(8))
+        wigner_inverse(lambda xs, ys: 1.0, QuadratureScheme(8), FockSpace(8))
 
 
 def test_round_trip_mixed_operator():
     sp = FockSpace(24)
-    scheme = QuadratureScheme.default(24)
+    scheme = QuadratureScheme(24)
     rng = np.random.default_rng(23)
     low = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
     mat = np.zeros((24, 24), dtype=complex)
@@ -174,16 +175,16 @@ def _unitarity_residual(n_levels, scheme, ab, cd):
     """| integral conj(W X) (W Y) dx dy - Tr[X† Y] | for X = |a><b| and
     Y = |c><d|: the deviation of one entry of the Gram matrix of the
     Wigner images (the matrix ``hsqm wigner`` checks) from the identity."""
-    gram = scheme._ring_gram(scheme._radial_stack(FockSpace(n_levels)))
+    gram = ring_gram(scheme, scheme._radial_stack(FockSpace(n_levels)))
     (a, b), (c, d) = ab, cd
     return abs(gram[a * n_levels + b, c * n_levels + d] - float(ab == cd))
 
 
 def test_unitarity_residuals():
-    scheme = QuadratureScheme.default(24)
+    scheme = QuadratureScheme(24)
     assert _unitarity_residual(24, scheme, (0, 0), (0, 0)) <= 1e-8
     assert _unitarity_residual(24, scheme, (0, 1), (1, 0)) <= 1e-8
-    assert _unitarity_residual(32, QuadratureScheme.default(32), (5, 5), (5, 5)) <= 1e-6
+    assert _unitarity_residual(32, QuadratureScheme(32), (5, 5), (5, 5)) <= 1e-6
 
 
 @pytest.mark.parametrize("n", [6, 10, 16, 24])
@@ -195,8 +196,8 @@ def test_unitarity_row_matches_full_gram(n, tmp_path):
     assert cli.main(["wigner", "--N", str(n), "--out", str(out)]) == 0
     rows = csv.DictReader(out.read_text().splitlines())
     printed = next(float(r["value"]) for r in rows if r["name"] == "unitarity_gram_max_dev")
-    scheme = QuadratureScheme.default(n)
-    gram = scheme._ring_gram(scheme._radial_stack(FockSpace(n // 2)))
+    scheme = QuadratureScheme(n)
+    gram = ring_gram(scheme, scheme._radial_stack(FockSpace(n // 2)))
     full = np.max(np.abs(gram - np.eye((n // 2) ** 2)))
     assert abs(printed - full) <= len(scheme.radial_nodes) * np.finfo(float).eps * np.max(np.diag(gram))
 
@@ -231,6 +232,6 @@ def test_oscillator_eigenrelation_in_operator_picture():
 def test_pairwise_unitarity():
     # the full Gram matrix is assembled in the acceptance suite; spot
     # check a few pairs here
-    scheme = QuadratureScheme.default(12)
+    scheme = QuadratureScheme(12)
     for ab, cd in (((0, 0), (0, 0)), ((1, 2), (1, 2)), ((2, 1), (3, 0)), ((4, 4), (0, 0))):
         assert _unitarity_residual(12, scheme, ab, cd) <= 1e-8
