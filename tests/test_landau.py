@@ -24,7 +24,7 @@ from hsqm.landau import (
 )
 from hsqm.quadrature import QuadratureScheme
 from block_oracle import classical_frame, column_block_norm, ring_gram
-from node_weights import node_weights, rule
+from node_weights import folded, grid, node_weights, rule
 
 DEFAULT = LandauParams(mass=1.0, omega0=1.0, omega_c=2.0, theta=0.1)
 
@@ -324,24 +324,27 @@ def test_tensor_resolution_endpoint():
 # -- polar path against brute force ------------------------------------------
 #
 # The frames are built from R radial columns and the equal-charge rule;
-# the references below are the direct K = R*A node sums, on the rule for
-# N (2N rings, 4N+1 angles), at even and odd N.
+# the references below are the direct K = R*A' node sums on the 2N rings
+# of the rule for N, at even and odd N.  A' = 4N+1 is the rule's own grid;
+# the coarser A' < 2N - 1 fold the levels that differ by a multiple of A'
+# once A' < N, and every other entry must still give the frame.
 
 
 FRAME_CASES = [(n, 2 * n, 4 * n + 1) for n in (4, 5, 6, 8)]
+GRID_CASES = FRAME_CASES + [(n, 2 * n, count) for n in (4, 5, 6, 8) for count in (3, 4, 5, 8) if count < 2 * n - 1]
 
 
-def _node_vectors(sp, scheme):
-    """Rows <n|z_k> over every node, and the node weights / 2 pi."""
-    return displacement_stack(sp, scheme.z_nodes)[:, :, 0], node_weights(scheme) / (2 * math.pi)
-
-
-@pytest.mark.parametrize("n, radial, angular", FRAME_CASES)
+@pytest.mark.parametrize("n, radial, angular", GRID_CASES)
 def test_classical_and_sector_frames_match_node_sum(n, radial, angular):
     sp = FockSpace(n)
-    scheme = rule(n, radial, angular)
-    coh, w = _node_vectors(sp, scheme)
-    reference = (coh.T * w) @ coh.conj()
+    scheme, z, w = grid(n, radial, angular)
+    coh = displacement_stack(sp, z)[:, :, 0]  # rows <n|z_k>
+    reference = (coh.T * (w / (2 * math.pi))) @ coh.conj()
+    fold = folded(np.arange(n), angular)  # the charge of <n|z> is n
+    assert fold.any() == (angular < n)
+    if fold.any():
+        assert np.max(np.abs(reference[fold])) >= 1e-3
+    reference[fold] = 0.0
     frame = classical_frame(sp, scheme)
     assert np.isrealobj(frame)
     assert np.max(np.abs(frame - reference)) <= 1e-13

@@ -15,7 +15,7 @@ from hsqm.quadrature import QuadratureScheme, _laguerre_rule
 from hsqm.thermal import frame_operator_residual, resolution_operator, resolution_residual
 from hsqm.wigner import wigner_function, wigner_inverse
 from block_oracle import block_indices, dense_block, ring_gram
-from node_weights import node_weights, rule
+from node_weights import folded, grid, node_weights
 
 
 def test_validation():
@@ -152,10 +152,23 @@ def test_space_larger_than_the_rule_raises(call):
 # columns and for the per-charge Gram of the Wigner images that the
 # unitarity contract reads) and wigner_inverse build their node sums from
 # R radial matrices and the equal-charge rule; the references below sum
-# over all K = R*A node matrices directly, on the rule for N, odd N too.
+# over all K = R*A' node matrices directly, on the 2N rings of the rule
+# for N, odd N too.  A' = 4N+1 is the rule's own grid; the coarser
+# A' < 2N - 1, odd and even, fold charges that differ by a multiple of A'
+# (the mirror's sign (-1)^(c - c') too at c - c' = +-A').  On those grids
+# every pair of charges that is not folded, and every pair of equal
+# charges, must still give the library's value.
 
 
-POLAR_CASES = [(n, 2 * n, 4 * n + 1) for n in (4, 5, 6, 8)]
+def _polar_cases():
+    for n in (4, 5, 6, 8):
+        yield n, 2 * n, 4 * n + 1
+        for count in (3, 4, 5, 8):
+            if count < 2 * n - 1:
+                yield n, 2 * n, count
+
+
+POLAR_CASES = list(_polar_cases())
 
 
 def _random_operator(sp, seed):
@@ -164,20 +177,41 @@ def _random_operator(sp, seed):
     return Operator(sp, rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
 
 
+def _node_sum_by_frequency(stack, weights, terms, angular):
+    """(1/sqrt(2pi)) sum_k w_k g(z_k) D(z_k) over the (q, g) in ``terms``,
+    g of the one angular frequency q: each term kept on the diagonal
+    m - n = -q, where its node sum is exact on every grid.  On every
+    diagonal that the A' angles separate from -q the term must vanish."""
+    n = stack.shape[1]
+    charge = np.subtract.outer(np.arange(n), np.arange(n))
+    total = np.zeros((n, n), dtype=complex)
+    for q, values in terms:
+        part = np.einsum("k,kmn->mn", weights * values, stack) / math.sqrt(2 * math.pi)
+        assert np.max(np.abs(part[(charge + q) % angular != 0]), initial=0.0) <= 1e-13
+        total += np.where(charge == -q, part, 0.0)
+    return total
+
+
 @pytest.mark.parametrize("n, radial, angular", POLAR_CASES)
 @pytest.mark.parametrize("mirrored", [False, True])
 def test_resolution_operator_matches_node_sum(n, radial, angular, mirrored):
     # the mirrored family |-z> summed over the nodes -z is the family's
     # frame G conjugated by the charge sign S = (-1)^(m-n): S G S.  The
     # full G from the radial states is the oracle; the library assembles
-    # its columns block_indices(sp) alone
+    # its columns block_indices(sp) alone.  Both match the node sum on
+    # every entry but the folded pairs, which are far from 0
     sp = FockSpace(n)
     spec = ThermalSpec(1.0, 0.7)
-    scheme = rule(n, radial, angular)
+    scheme, z, w = grid(n, radial, angular)
     sqrt_lam = np.sqrt(np.diag(gibbs_density(sp, spec).mat).real)
-    stack = displacement_stack(sp, -scheme.z_nodes if mirrored else scheme.z_nodes)
-    vecs = (stack * sqrt_lam).reshape(len(scheme.z_nodes), n * n)
-    reference = (vecs.T * (node_weights(scheme) / (2 * math.pi))) @ vecs.conj()
+    stack = displacement_stack(sp, -z if mirrored else z)
+    vecs = (stack * sqrt_lam).reshape(len(z), n * n)
+    reference = (vecs.T * (w / (2 * math.pi))) @ vecs.conj()
+    fold = folded(np.subtract.outer(np.arange(n), np.arange(n)).ravel(), angular)
+    assert fold.any() == (angular < 2 * n - 1)
+    if fold.any():
+        assert np.max(np.abs(reference[fold])) >= 1e-3
+    reference[fold] = 0.0
     sign = (-1.0) ** np.add.outer(np.arange(n), np.arange(n)).ravel() if mirrored else np.ones(n * n)
     got = sign[:, None] * ring_gram(scheme, scheme._radial_stack(sp) * sqrt_lam) * sign
     assert np.max(np.abs(got - reference)) <= 1e-13
@@ -188,33 +222,55 @@ def test_resolution_operator_matches_node_sum(n, radial, angular, mirrored):
 
 @pytest.mark.parametrize("n, radial, angular", POLAR_CASES)
 def test_wigner_inverse_matches_node_sum(n, radial, angular):
+    # f has the angular frequencies -2..2, split off by 5 rotations; a
+    # W-image of charge c alone has the frequency -c
     sp = FockSpace(n)
-    scheme = rule(n, radial, angular)
-    stack = displacement_stack(sp, scheme.z_nodes)
+    scheme, z, w = grid(n, radial, angular)
+    stack = displacement_stack(sp, z)
 
     def f(xs, ys):  # every angular frequency, not a W-image
         return np.exp(-(xs**2 + ys**2) / 3.0) * (xs + 1j * ys**2 + 0.5)
 
-    xs, ys = scheme.xy_nodes()
-    reference = np.einsum("k,kmn->mn", node_weights(scheme) * f(xs, ys), stack) / math.sqrt(2 * math.pi)
+    def f_at(nodes):
+        return f(-math.sqrt(2.0) * nodes.imag, math.sqrt(2.0) * nodes.real)
+
+    turns = np.exp(2j * math.pi * np.arange(5) / 5)
+    parts = [(q, sum(f_at(z * u) * u ** (-q) for u in turns) / 5) for q in range(-2, 3)]
+    assert np.max(np.abs(sum(g for _, g in parts) - f_at(z))) <= 1e-13
+    reference = _node_sum_by_frequency(stack, w, parts, angular)
     assert np.max(np.abs(wigner_inverse(f, scheme, sp).mat - reference)) <= 1e-13
 
     x = _random_operator(sp, n)
-    vals = np.einsum("kmn,mn->k", stack.conj(), x.mat) / math.sqrt(2 * math.pi)
-    reference = np.einsum("k,kmn->mn", node_weights(scheme) * vals, stack) / math.sqrt(2 * math.pi)
+    charge = np.subtract.outer(np.arange(n), np.arange(n))
+    images = [
+        (-c, np.einsum("kmn,mn->k", stack.conj(), np.where(charge == c, x.mat, 0.0)) / math.sqrt(2 * math.pi))
+        for c in range(1 - n, n)
+    ]
+    reference = _node_sum_by_frequency(stack, w, images, angular)
     assert np.max(np.abs(wigner_inverse(wigner_function(x), scheme, sp).mat - reference)) <= 1e-13
 
 
 @pytest.mark.parametrize("n, radial, angular", POLAR_CASES)
 def test_unitarity_residual_matches_node_sum(n, radial, angular):
+    # the node-sum inner product of the W-images of x and y, charge class
+    # by charge class: pairs of unequal charges that the grid separates
+    # vanish, and the equal-charge pairs sum to the library's Gram
     sp = FockSpace(n)
-    scheme = rule(n, radial, angular)
-    stack = displacement_stack(sp, scheme.z_nodes)
+    scheme, z, w = grid(n, radial, angular)
+    stack = displacement_stack(sp, z)
     x, y = _random_operator(sp, 2 * n), _random_operator(sp, 2 * n + 1)
-    vx = np.einsum("kmn,mn->k", stack.conj(), x.mat) / math.sqrt(2 * math.pi)
-    vy = np.einsum("kmn,mn->k", stack.conj(), y.mat) / math.sqrt(2 * math.pi)
+    charges = np.arange(1 - n, n)
+    charge = np.subtract.outer(np.arange(n), np.arange(n))
+
+    def images(op):
+        parts = [np.einsum("kmn,mn->k", stack.conj(), np.where(charge == c, op.mat, 0.0)) for c in charges]
+        return np.array(parts) / math.sqrt(2 * math.pi)
+
+    pairs = (images(x).conj() * w) @ images(y).T
+    separated = ~folded(charges, angular) & ~np.eye(charges.size, dtype=bool)
+    assert np.max(np.abs(pairs[separated])) <= 1e-13
     inner = np.vdot(x.mat, y.mat)
-    reference = abs(np.sum(node_weights(scheme) * vx.conj() * vy) - inner)
+    reference = abs(np.trace(pairs) - inner)
     gram = ring_gram(scheme, scheme._radial_stack(sp))
     assert abs(abs(x.mat.ravel().conj() @ gram @ y.mat.ravel() - inner) - reference) <= 1e-13
 
